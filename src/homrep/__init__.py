@@ -7,7 +7,6 @@ through a purely structural classifier that is cross-validated against
 brute force on every small graph.
 """
 
-from ._kernels import BACKEND
 from .autgroup import (
     DEFAULT_CAP,
     Automorphism,
@@ -68,7 +67,6 @@ from .verify import VerificationSummary, verify_corpus
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "DEFAULT_CAP",
     "Automorphism",
     "BlockDecomposition",

@@ -27,7 +27,7 @@ from .cycles import betti, random_spanning_tree_basis, spanning_tree_basis
 from .errors import CapacityError, DisconnectedGraphError, GraphParseError
 from .families import RootedTreeSpec, build_periodic_unicyclic, named_family
 from .graphs import Graph, format_edge_list, parse_edge_list, parse_graph6, require_connected
-from .matrices import matrix_mod_p
+from .matrices import is_prime, matrix_mod_p
 from .rep import representation
 from .verify import verify_corpus
 
@@ -129,6 +129,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    if args.mod_p is not None and not is_prime(args.mod_p):
+        raise ValueError(f"{args.mod_p} is not prime")
     g = _load_graph(args)
     require_connected(g)
     b = _basis(args, g)
@@ -154,7 +156,7 @@ def cmd_rep(args) -> int:
             "kernel": [list(f.perm) for f in report.kernel],
             "faithful": report.faithful,
         }
-        if args.mod_p:
+        if args.mod_p is not None:
             out["mod_p"] = {
                 "p": args.mod_p,
                 "matrices": [
@@ -178,7 +180,7 @@ def cmd_rep(args) -> int:
             print(m.render_text())
         else:
             print("(empty 0x0 matrix)")
-        if args.mod_p:
+        if args.mod_p is not None:
             print(f"mod {args.mod_p}:")
             print(matrix_mod_p(m, args.mod_p).render_text() or "(empty)")
     print(f"kernel size: {len(report.kernel)}")

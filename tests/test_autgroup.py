@@ -18,11 +18,19 @@ from homrep import (
     named_family,
     spanning_tree_basis,
 )
+from homrep._kernels import search_automorphisms
 from helpers import brute_force_automorphisms
 
 # path 0-1-2-3-4-5 with an extra leaf on vertex 2: the three arms from
 # vertex 2 have pairwise distinct lengths, so nothing can move
 RIGID_TREE_7 = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+
+
+def petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, edges)
 
 
 class TestAutomorphismType:
@@ -66,9 +74,19 @@ class TestEnumeration:
         assert "10" in str(exc.value)
 
     def test_matches_brute_force_up_to_5(self, corpus5):
+        # same elements in the same lexicographic, identity-first order
         for g in corpus5:
-            got = {a.perm for a in automorphisms(g)}
-            assert got == set(brute_force_automorphisms(g)), g
+            got = [a.perm for a in automorphisms(g)]
+            assert got == sorted(brute_force_automorphisms(g)), g
+
+    def test_petersen_has_120(self):
+        assert len(automorphisms(petersen())) == 120
+
+    def test_early_stop_returns_a_prefix(self, corpus5):
+        for g in [*corpus5, named_family("complete", 6), petersen()]:
+            masks = g.adjacency_masks()
+            full = search_automorphisms(g.n, masks, 10 ** 6)
+            assert search_automorphisms(g.n, masks, 2) == full[:2], g
 
     def test_matches_brute_force_sampled_n6(self):
         rng = random.Random(20260808)
@@ -94,6 +112,10 @@ class TestHasNontrivial:
         # oracle: all 5040 permutations leave only the identity
         assert len(brute_force_automorphisms(RIGID_TREE_7)) == 1
         assert not has_nontrivial_automorphism(RIGID_TREE_7)
+
+    def test_long_cycle(self):
+        # deeper than the interpreter's default recursion limit of 1000
+        assert has_nontrivial_automorphism(named_family("cycle", 1500))
 
 
 class TestDartAction:

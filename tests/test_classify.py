@@ -1,6 +1,7 @@
 import pytest
 
 from homrep import (
+    Automorphism,
     DisconnectedGraphError,
     Graph,
     classify,
@@ -105,6 +106,16 @@ class TestWitness:
     def test_tree_witness(self):
         w = witness_kernel_element(named_family("path", 3))
         assert w is not None and w.perm == (2, 1, 0)
+
+    @pytest.mark.parametrize("name, size", [("path", 1500), ("star", 2000)])
+    def test_deep_tree_witness(self, name, size):
+        # the search goes one level deeper per vertex, past the
+        # interpreter's default recursion limit of 1000
+        g = named_family(name, size)
+        v = classify(g)
+        assert v.reason == "TreeWithSymmetry"
+        w = witness_kernel_element(g, v)
+        assert isinstance(w, Automorphism) and not w.is_identity()
 
     def test_pendant_witness_is_kernel_element(self):
         w = witness_kernel_element(TRIANGLE_WITH_CHERRY)

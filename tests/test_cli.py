@@ -123,6 +123,14 @@ class TestRep:
                                "--mod-p", "4")
         assert code == 2 and "prime" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("p", ["0", "1", "9", "-3"])
+    def test_mod_p_non_prime_prints_nothing(self, capsys, p, mode):
+        code, out, err = run_cli(capsys, "rep", "--family", "cycle", "4",
+                                 "--mod-p", p, *mode)
+        assert code == 2 and out == ""
+        assert err == f"error: {p} is not prime\n"
+
     def test_json_edges_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "rep", "--family", "bowtie", "5", "--json")
         data = json.loads(out)
@@ -151,6 +159,10 @@ class TestClassify:
     def test_bowtie_faithful(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--family", "bowtie", "5")
         assert code == 0
+
+    def test_long_path_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--family", "path", "1500")
+        assert code == 3 and "TreeWithSymmetry" in out and err == ""
 
 
 class TestVerify:
