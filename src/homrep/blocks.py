@@ -1,18 +1,22 @@
 """Block structure of a connected graph.
 
-Covers blocks (maximal 2-connected subgraphs), cutvertices and bridges,
-the bipartite block tree and its centre, 2-edge-connected components,
-pendant trees hanging off nontrivial blocks, canonical codes for rooted
-trees, and detection of unicyclic graphs whose unique cycle admits a
-nontrivial rotation.
+One structure pass per graph, memoised on the immutable Graph, computes
+blocks (maximal 2-connected subgraphs), cutvertices and bridges,
+2-edge-connected components, pendant trees hanging off nontrivial blocks
+and the unique cycle; the public functions read it.  Also here: the
+bipartite block tree and its centre, canonical codes for rooted trees,
+and detection of unicyclic graphs whose unique cycle admits a nontrivial
+rotation, where the tree hanging from a cycle vertex is its pendant tree
+(or the bare vertex).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import OrientedCycle, betti, fundamental_cycle, spanning_tree_basis
-from .graphs import Dart, Graph, is_connected, require_connected
+from .cycles import OrientedCycle
+from .errors import DisconnectedGraphError
+from .graphs import Graph, is_connected
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,9 @@ class BlockDecomposition:
         return tuple(b for b in self.blocks if len(b) >= 3)
 
 
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Standard lowpoint (depth-first) biconnected-components algorithm."""
-    require_connected(g)
+def _lowpoint_blocks(g: Graph) -> BlockDecomposition:
+    """Standard lowpoint (depth-first) biconnected-components algorithm;
+    rejects a graph the search does not cover."""
     n = g.n
     if n < 2:
         return BlockDecomposition((), (), frozenset(), frozenset())
@@ -79,9 +83,10 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                         if e == (u, v):
                             break
                     raw_blocks.append(block)
+    if timer < n:
+        raise DisconnectedGraphError("graph is not connected")
 
     blocks = []
-    block_edges = []
     for raw in raw_blocks:
         verts = frozenset(x for e in raw for x in e)
         edges = tuple(sorted((a, b) if a < b else (b, a) for a, b in raw))
@@ -154,42 +159,24 @@ def block_tree(d: BlockDecomposition) -> BlockTree:
         adj[i].add(j)
         adj[j].add(i)
 
-    remaining = set(range(total))
-    deg = {i: len(adj[i]) for i in remaining}
-    while len(remaining) > 2:
-        leaves = [i for i in remaining if deg[i] <= 1]
+    # a node joins the next layer when its degree drops to one; peeled
+    # nodes only drop further, so they never rejoin
+    deg = [len(a) for a in adj]
+    leaves = [i for i in range(total) if deg[i] <= 1]
+    remaining = total
+    while remaining > 2 and leaves:
+        remaining -= len(leaves)
+        next_leaves = []
         for leaf in leaves:
-            remaining.discard(leaf)
             for other in adj[leaf]:
-                if other in remaining:
-                    deg[other] -= 1
-    if len(remaining) != 1:
+                deg[other] -= 1
+                if deg[other] == 1:
+                    next_leaves.append(other)
+        leaves = next_leaves
+    if len(leaves) != 1:
         raise RuntimeError(
-            f"block tree centre is not a single node: {sorted(remaining)}")
-    return BlockTree(tuple(nodes), tuple(edges), remaining.pop())
-
-
-def two_edge_connected_components(g: Graph) -> tuple[frozenset[int], ...]:
-    """Components after deleting all bridges; singletons included."""
-    require_connected(g)
-    bridges = block_decomposition(g).bridges
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        for x in queue:
-            for y in g.neighbors(x):
-                e = (x, y) if x < y else (y, x)
-                if not seen[y] and e not in bridges:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(frozenset(comp))
-    return tuple(sorted(comps, key=min))
+            f"block tree centre is not a single node: {sorted(leaves)}")
+    return BlockTree(tuple(nodes), tuple(edges), leaves[0])
 
 
 def is_simple_cycle_graph(g: Graph) -> bool:
@@ -221,24 +208,103 @@ class PendantTree:
         return adj
 
 
-def _components_without(g: Graph, w: int) -> list[list[int]]:
-    seen = [False] * g.n
-    seen[w] = True
-    comps = []
-    for start in range(g.n):
+@dataclass(frozen=True)
+class _Structure:
+    """Everything the structure pass computes for one connected graph."""
+
+    blocks: BlockDecomposition
+    two_edge_components: tuple[frozenset[int], ...]
+    pendant_trees: tuple[PendantTree, ...]
+    cycle: OrientedCycle | None  # the unique cycle when beta = 1
+
+
+def _structure_pass(g: Graph) -> _Structure:
+    """Blocks by the lowpoint DFS, then one pass over g without bridges.
+
+    A vertex is cyclic when it has a non-bridge edge.  A tree of the
+    forest left on the other vertices that meets the cyclic ones through
+    exactly one edge, to w, is a component of g - w; the pendant tree at
+    w is the union of those trees.  When beta = 1 the cyclic vertices
+    are the unique cycle."""
+    d = _lowpoint_blocks(g)
+    n = g.n
+    bridges = d.bridges
+    comp_of = [-1] * n
+    comps: list[list[int]] = []
+    for start in range(n):
+        if comp_of[start] >= 0:
+            continue
+        comp_of[start] = len(comps)
+        comp = [start]
+        for x in comp:
+            for y in g.neighbors(x):
+                if comp_of[y] < 0 and ((x, y) if x < y else (y, x)) not in bridges:
+                    comp_of[y] = len(comps)
+                    comp.append(y)
+        comps.append(comp)
+    cyclic = [len(comps[c]) > 1 for c in comp_of]
+
+    hanging: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+    seen = cyclic[:]
+    for start in range(n):
         if seen[start]:
             continue
-        comp = [start]
         seen[start] = True
-        queue = [start]
-        for x in queue:
+        verts = [start]
+        edges = []
+        roots = []
+        for x in verts:
             for y in g.neighbors(x):
-                if not seen[y]:
+                if cyclic[y]:
+                    roots.append(y)
+                elif seen[y]:
+                    continue
+                else:
                     seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(comp)
-    return comps
+                    verts.append(y)
+                edges.append((x, y) if x < y else (y, x))
+        if len(roots) == 1:
+            w = roots[0]
+            tree_verts, tree_edges = hanging.setdefault(w, ([w], []))
+            tree_verts.extend(verts)
+            tree_edges.extend(edges)
+
+    cycle = None
+    if g.num_edges == n:
+        # from the smallest cycle vertex toward its smaller cycle neighbor
+        m = sum(cyclic)
+        seq = [cyclic.index(True)]
+        seq.append(min(y for y in g.neighbors(seq[0]) if cyclic[y]))
+        while len(seq) < m:
+            seq.append(next(y for y in g.neighbors(seq[-1]) if cyclic[y] and y != seq[-2]))
+        cycle = OrientedCycle(list(zip(seq, seq[1:] + seq[:1])))
+
+    return _Structure(
+        blocks=d,
+        two_edge_components=tuple(frozenset(c) for c in comps),
+        pendant_trees=tuple(
+            PendantTree(root=w, vertices=frozenset(vs), edges=tuple(sorted(es)))
+            for w, (vs, es) in sorted(hanging.items())),
+        cycle=cycle)
+
+
+def _structure(g: Graph) -> _Structure:
+    """The structure pass of g, run on first use and kept on g."""
+    s = g._structure
+    if s is None:
+        s = g._structure = _structure_pass(g)
+    return s
+
+
+def block_decomposition(g: Graph) -> BlockDecomposition:
+    """Blocks, cutvertices and bridges of a connected graph."""
+    return _structure(g).blocks
+
+
+def two_edge_connected_components(g: Graph) -> tuple[frozenset[int], ...]:
+    """Components after deleting all bridges; singletons included, in
+    increasing order of their smallest vertex."""
+    return _structure(g).two_edge_components
 
 
 def pendant_trees(g: Graph) -> tuple[PendantTree, ...]:
@@ -248,27 +314,7 @@ def pendant_trees(g: Graph) -> tuple[PendantTree, ...]:
     in a bridge, and at least one component of g - root is acyclic and
     attached to the root by exactly one edge.
     """
-    require_connected(g)
-    d = block_decomposition(g)
-    in_nontrivial = set()
-    for b in d.nontrivial_blocks():
-        in_nontrivial |= b
-    on_bridge = {x for e in d.bridges for x in e}
-    out = []
-    for w in sorted(in_nontrivial & on_bridge):
-        hanging: list[int] = []
-        for comp in _components_without(g, w):
-            comp_set = set(comp)
-            inner_edges = sum(1 for u, v in g.edges if u in comp_set and v in comp_set)
-            to_w = sum(1 for y in g.neighbors(w) if y in comp_set)
-            if inner_edges == len(comp) - 1 and to_w == 1:
-                hanging.extend(comp)
-        if not hanging:
-            continue
-        verts = frozenset(hanging) | {w}
-        edges = tuple((u, v) for u, v in g.edges if u in verts and v in verts)
-        out.append(PendantTree(root=w, vertices=verts, edges=edges))
-    return tuple(out)
+    return _structure(g).pendant_trees
 
 
 def _tree_adjacency(g: Graph, vertices) -> dict[int, list[int]]:
@@ -371,77 +417,35 @@ def rooted_tree_isomorphism(adj_a: dict[int, list[int]], root_a: int,
             stack.append((a, va, bb, vb))
     return mapping
 
-
 def unique_cycle(g: Graph) -> OrientedCycle:
     """The unique simple cycle of a graph with exactly one independent cycle.
 
     Canonical orientation: starts at the smallest cycle vertex, heading
     toward the smaller of its two cycle neighbors.
     """
-    if betti(g) != 1:
-        raise ValueError(f"graph has {betti(g)} independent cycles, expected 1")
-    c = fundamental_cycle(spanning_tree_basis(g), 1)
-    seq = list(c.vertices())
-    i0 = seq.index(min(seq))
-    seq = seq[i0:] + seq[:i0]
-    if seq[1] > seq[-1]:
-        seq = [seq[0]] + seq[1:][::-1]
-    m = len(seq)
-    return OrientedCycle([Dart(seq[j], seq[(j + 1) % m]) for j in range(m)])
-
-
-def _hanging_tree_codes(g: Graph, cyc: OrientedCycle) -> tuple[list[str], list[list[int]]]:
-    """Per cycle vertex: code (and vertex list) of its tree component
-    after the cycle's edges are deleted."""
-    cycle_edges = cyc.edge_set()
-    codes = []
-    comps = []
-    for v in cyc.vertices():
-        comp = [v]
-        seen = {v}
-        queue = [v]
-        for x in queue:
-            for y in g.neighbors(x):
-                e = (x, y) if x < y else (y, x)
-                if e in cycle_edges or y in seen:
-                    continue
-                seen.add(y)
-                comp.append(y)
-                queue.append(y)
-        adj: dict[int, list[int]] = {x: [] for x in comp}
-        for u, vv in g.edges:
-            if u in seen and vv in seen and (u, vv) not in cycle_edges:
-                adj[u].append(vv)
-                adj[vv].append(u)
-        for x in adj:
-            adj[x].sort()
-        codes.append(_subtree_codes(adj, v)[v])
-        comps.append(comp)
-    return codes, comps
-
-
-def _divisors(m: int) -> list[int]:
-    return [k for k in range(1, m + 1) if m % k == 0]
+    cycle = _structure(g).cycle
+    if cycle is None:
+        beta = g.num_edges - g.n + 1
+        raise ValueError(f"graph has {beta} independent cycles, expected 1")
+    return cycle
 
 
 def is_periodic_unicyclic(g: Graph) -> tuple[bool, int | None]:
     """Detect a nontrivial rotation of the unique cycle.
 
     Returns (False, None) unless the graph has exactly one independent
-    cycle.  Otherwise the hanging tree at each cycle vertex is encoded
-    canonically; the graph admits a nontrivial rotation iff the cyclic
-    word of codes has minimal period k < cycle length, and then
-    (True, k) is returned.
+    cycle.  Otherwise each cycle vertex is encoded by the canonical code
+    of its pendant tree, or "()" when it roots none; the graph admits a
+    nontrivial rotation iff this cyclic word has minimal period
+    k < cycle length, and then (True, k) is returned.
     """
-    require_connected(g)
-    if g.num_edges - g.n + 1 != 1:
+    s = _structure(g)
+    if s.cycle is None:
         return (False, None)
-    cyc = unique_cycle(g)
-    word, _ = _hanging_tree_codes(g, cyc)
+    codes = {t.root: _subtree_codes(t.adjacency(), t.root)[t.root]
+             for t in s.pendant_trees}
+    word = [codes.get(v, "()") for v in s.cycle.vertices()]
     m = len(word)
-    for k in _divisors(m):
-        if all(word[j] == word[(j + k) % m] for j in range(m)):
-            if k < m:
-                return (True, k)
-            return (False, None)
-    raise AssertionError("unreachable: period m always matches")
+    k = next(k for k in range(1, m + 1)
+             if m % k == 0 and all(word[j] == word[(j + k) % m] for j in range(m)))
+    return (True, k) if k < m else (False, None)

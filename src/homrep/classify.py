@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .autgroup import Automorphism, has_nontrivial_automorphism
 from .blocks import (
-    _hanging_tree_codes,
     _subtree_codes,
     is_periodic_unicyclic,
     is_rigid_pendant_tree,
@@ -65,7 +64,6 @@ def classify(g: Graph) -> Verdict:
     pendant tree (smallest root wins); a rotatable unique cycle.  When
     several conditions hold the first one in that order is reported.
     """
-    require_connected(g)
     if betti(g) == 0:
         if has_nontrivial_automorphism(g):
             return Verdict(False, TREE_WITH_SYMMETRY)
@@ -155,27 +153,15 @@ def witness_kernel_element(g: Graph, verdict: Verdict | None = None) -> Automorp
         raise RuntimeError("symmetric pendant tree lost its symmetry")
 
     if verdict.reason == PERIODIC_UNICYCLIC:
-        cyc = unique_cycle(g)
-        verts = cyc.vertices()
-        m = len(verts)
-        k = verdict.period
-        _, comps = _hanging_tree_codes(g, cyc)
-        cycle_edges = cyc.edge_set()
-        adjs = []
-        for comp in comps:
-            cset = set(comp)
-            adj = {x: [] for x in comp}
-            for u, v in g.edges:
-                if u in cset and v in cset and (u, v) not in cycle_edges:
-                    adj[u].append(v)
-                    adj[v].append(u)
-            for x in adj:
-                adj[x].sort()
-            adjs.append(adj)
+        # the tree hanging from a cycle vertex is its pendant tree, or
+        # the bare vertex
+        verts = unique_cycle(g).vertices()
+        hanging = {t.root: t.adjacency() for t in pendant_trees(g)}
+        adjs = [hanging.get(v, {v: []}) for v in verts]
         perm = list(range(g.n))
-        for j in range(m):
-            target = (j + k) % m
-            iso = rooted_tree_isomorphism(adjs[j], verts[j], adjs[target], verts[target])
+        for j, v in enumerate(verts):
+            i = (j + verdict.period) % len(verts)
+            iso = rooted_tree_isomorphism(adjs[j], v, adjs[i], verts[i])
             if iso is None:
                 raise RuntimeError("hanging trees not isomorphic despite period")
             for x, y in iso.items():

@@ -75,6 +75,12 @@ def _load_graph(args) -> Graph:
     return parse_graph6(args.g6)
 
 
+def _print_json(obj) -> None:
+    """Indented JSON and a newline, streamed to stdout chunk by chunk."""
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 def _basis(args, g: Graph):
     if args.tree == "rand":
         return random_spanning_tree_basis(g, args.seed)
@@ -83,10 +89,9 @@ def _basis(args, g: Graph):
 
 def cmd_info(args) -> int:
     g = _load_graph(args)
-    require_connected(g)
     beta = betti(g)
     d = block_decomposition(g)
-    trees = pendant_trees(g) if beta >= 1 else ()
+    trees = pendant_trees(g)
     periodic, period = is_periodic_unicyclic(g)
     bt = block_tree(d) if d.blocks else None
     if args.json:
@@ -106,7 +111,7 @@ def cmd_info(args) -> int:
             "periodic": periodic,
             "period": period,
         }
-        print(json.dumps(out, indent=2))
+        _print_json(out)
         return EXIT_OK
     print(f"vertices: {g.n}")
     print(f"edges: {g.num_edges}")
@@ -164,7 +169,7 @@ def cmd_rep(args) -> int:
                      "matrix": matrix_mod_p(report.matrices[f], args.mod_p).to_json()}
                     for f in shown],
             }
-        print(json.dumps(out, indent=2))
+        _print_json(out)
         return EXIT_OK
     print(f"tree mode: {args.tree}"
           + (f" (seed {args.seed})" if args.tree == "rand" else ""))
@@ -192,7 +197,7 @@ def cmd_classify(args) -> int:
     g = _load_graph(args)
     verdict = classify(g)
     if args.json:
-        print(json.dumps(verdict.to_json(), indent=2))
+        _print_json(verdict.to_json())
     elif verdict.faithful:
         print("faithful")
     else:
@@ -232,7 +237,7 @@ def cmd_verify(args) -> int:
                  "graph": summary.failure.graph_text}
                 if summary.failure else None),
         }
-        print(json.dumps(out, indent=2))
+        _print_json(out)
     else:
         for n, count in summary.per_n.items():
             print(f"n={n}: {count} graphs")
@@ -259,7 +264,7 @@ def cmd_gen(args) -> int:
             "rho": list(rho.perm),
             "order": rho.order(),
         }
-        print(json.dumps(out, indent=2))
+        _print_json(out)
         return EXIT_OK
     print(format_edge_list(g), end="")
     print(f"# rho: {' '.join(map(str, rho.perm))}")

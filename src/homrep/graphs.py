@@ -33,7 +33,8 @@ class Dart(NamedTuple):
 class Graph:
     """Immutable simple graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "edges", "_edge_set", "_adj")
+    # _structure: the block structure, memoised on first use by homrep.blocks
+    __slots__ = ("n", "edges", "_edge_set", "_adj", "_structure")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -53,6 +54,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._structure = None
 
     @property
     def num_edges(self) -> int:

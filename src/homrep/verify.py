@@ -419,13 +419,12 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
             return
 
     # rigidity detector vs permutation search, on every pendant tree
-    if beta >= 1:
-        for tree in pendant_trees(g):
-            ok = is_rigid_pendant_tree(tree) == (not _brute_root_fixing_symmetry(tree))
-            run.record("rigidity_oracle", ok, g,
-                       f"rigidity detector disagrees with search at root {tree.root}")
-            if run.stopped:
-                return
+    for tree in pendant_trees(g):
+        ok = is_rigid_pendant_tree(tree) == (not _brute_root_fixing_symmetry(tree))
+        run.record("rigidity_oracle", ok, g,
+                   f"rigidity detector disagrees with search at root {tree.root}")
+        if run.stopped:
+            return
 
 
 def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS,

@@ -168,3 +168,93 @@ def all_increasing_parent_arrays(n: int) -> list[tuple[int, ...]]:
     for i in range(1, n):
         out = [t + (p,) for t in out for p in range(i)]
     return out
+
+
+def _components_without(g: Graph, w: int) -> list[set[int]]:
+    """Vertex sets of the connected components of g - w."""
+    seen = {w}
+    comps = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp = {start}
+        seen.add(start)
+        queue = [start]
+        for x in queue:
+            for y in g.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    queue.append(y)
+        comps.append(comp)
+    return comps
+
+
+def reference_pendant_trees(g: Graph) -> list[tuple[int, frozenset[int], tuple[tuple[int, int], ...]]]:
+    """(root, vertices, sorted edges) of every pendant tree, by root.
+
+    Straight from the definition: w roots a pendant tree when it lies on
+    a cycle (some component of g - w meets w in two or more edges) and
+    some component of g - w is acyclic and meets w in exactly one edge;
+    the tree is w plus all such components.
+    """
+    out = []
+    for w in range(g.n):
+        nbrs = set(g.neighbors(w))
+        comps = _components_without(g, w)
+        if all(len(c & nbrs) < 2 for c in comps):
+            continue
+        hanging = set()
+        for c in comps:
+            inner = sum(1 for u, v in g.edges if u in c and v in c)
+            if inner == len(c) - 1 and len(c & nbrs) == 1:
+                hanging |= c
+        if hanging:
+            verts = frozenset(hanging | {w})
+            edges = tuple(e for e in g.edges if e[0] in verts and e[1] in verts)
+            out.append((w, verts, edges))
+    return out
+
+
+def _reference_tree_code(adj: dict[int, set[int]], v: int, parent: int) -> str:
+    kids = sorted(_reference_tree_code(adj, c, v) for c in adj[v] if c != parent)
+    return "[" + "".join(kids) + "]"
+
+
+def reference_periodicity(g: Graph) -> tuple[bool, int | None]:
+    """Rotation detector of a unicyclic graph from reference_pendant_trees.
+
+    The cycle is what is left after leaves are stripped repeatedly; each
+    cycle vertex reads the code of its pendant tree, or of the bare
+    vertex, and the smallest rotation that fixes the word is the period.
+    """
+    if g.num_edges != g.n:
+        return (False, None)
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    leaves = [v for v in alive if deg[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        alive.discard(v)
+        for y in g.neighbors(v):
+            if y in alive:
+                deg[y] -= 1
+                if deg[y] == 1:
+                    leaves.append(y)
+    start = min(alive)
+    seq = [start]
+    prev, v = start, min(y for y in g.neighbors(start) if y in alive)
+    while v != start:
+        seq.append(v)
+        prev, v = v, next(y for y in g.neighbors(v) if y in alive and y != prev)
+    trees = {}
+    for root, verts, edges in reference_pendant_trees(g):
+        adj = {x: set() for x in verts}
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        trees[root] = _reference_tree_code(adj, root, -1)
+    word = [trees.get(v, "[]") for v in seq]
+    m = len(word)
+    shift = next(s for s in range(1, m + 1) if word[s:] + word[:s] == word)
+    return (True, shift) if shift < m else (False, None)

@@ -1,19 +1,24 @@
+import random
 from itertools import permutations
 
 import pytest
 
+from helpers import reference_pendant_trees, reference_periodicity
 from homrep import (
     Graph,
     ahu_code,
     block_decomposition,
     block_tree,
+    blocks,
     build_periodic_unicyclic,
+    classify,
     is_periodic_unicyclic,
     is_rigid_pendant_tree,
     named_family,
     pendant_trees,
     two_edge_connected_components,
     unique_cycle,
+    witness_kernel_element,
     RootedTreeSpec,
 )
 from homrep.blocks import PendantTree
@@ -94,6 +99,14 @@ class TestBlockTree:
                 if len(bt.nodes) > 1 and degree[i] == 1:
                     assert node.kind == "block"
 
+    def test_long_path_centre_is_middle_cutvertex(self):
+        # 4096 bridges and 4095 cutvertices alternate along one path of
+        # 8191 nodes, whose middle node is the cutvertex 2048
+        bt = block_tree(block_decomposition(named_family("path", 4097)))
+        assert len(bt.nodes) == 8191
+        centre = bt.nodes[bt.centre]
+        assert centre.kind == "cut" and centre.vertex == 2048
+
     def test_json_shape(self, bowtie):
         data = block_tree(block_decomposition(bowtie)).to_json()
         assert set(data) == {"nodes", "edges", "centre"}
@@ -144,6 +157,84 @@ class TestPendantTrees:
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5)])
         trees = pendant_trees(g)
         assert len(trees) == 1 and trees[0].vertices == {0, 3, 4, 5}
+
+
+def decorated_cycle(seed, m, period=None):
+    """An m-cycle with a random rooted tree (0-5 extra vertices) hanging
+    from every cycle vertex; with a period, the trees repeat with it."""
+    rng = random.Random(seed)
+    k = period or m
+    shapes = [[rng.randrange(i) for i in range(1, rng.randrange(1, 7))]
+              for _ in range(k)]
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    n = m
+    for v in range(m):
+        labels = [v]
+        for parent in shapes[v % k]:
+            labels.append(n)
+            edges.append((labels[parent], n))
+            n += 1
+    return Graph(n, edges)
+
+
+def k4_plus_tree(seed, n):
+    """K4 on 0..3 with a random tree grown off it, plus triangles closed
+    deep inside the tree: trees hang off those triangles too, and the
+    bridge paths between a triangle and K4 meet cycles at both ends."""
+    rng = random.Random(seed)
+    parent = [-1] * 4 + [rng.randrange(v) for v in range(4, n)]
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    edges += [(parent[v], v) for v in range(4, n)]
+    deep = [v for v in range(n) if parent[v] >= 4 and parent[parent[v]] >= 4]
+    edges += [(parent[parent[v]], v) for v in rng.sample(deep, 3)]
+    return Graph(n, edges)
+
+
+LARGE_GRAPHS = [decorated_cycle(1, 70), decorated_cycle(2, 160, period=4),
+                decorated_cycle(3, 120, period=3), k4_plus_tree(4, 200),
+                k4_plus_tree(5, 350), k4_plus_tree(6, 500)]
+
+
+class TestAgainstReference:
+    def test_pendant_trees_on_corpus(self, corpus5):
+        for g in corpus5:
+            got = [(t.root, t.vertices, t.edges) for t in pendant_trees(g)]
+            assert got == reference_pendant_trees(g), g
+
+    @pytest.mark.parametrize("g", LARGE_GRAPHS, ids=lambda g: f"n{g.n}")
+    def test_pendant_trees_on_large_graphs(self, g):
+        assert 200 <= g.n <= 500
+        got = [(t.root, t.vertices, t.edges) for t in pendant_trees(g)]
+        assert got == reference_pendant_trees(g)
+
+    def test_periodicity_on_corpus(self, corpus5):
+        for g in corpus5:
+            assert is_periodic_unicyclic(g) == reference_periodicity(g), g
+
+    @pytest.mark.parametrize("g", LARGE_GRAPHS[:3], ids=lambda g: f"n{g.n}")
+    def test_periodicity_on_decorated_cycles(self, g):
+        assert is_periodic_unicyclic(g) == reference_periodicity(g)
+
+    def test_periodic_decorations_are_detected(self):
+        assert is_periodic_unicyclic(LARGE_GRAPHS[1]) == (True, 4)
+        assert is_periodic_unicyclic(LARGE_GRAPHS[2])[0]
+
+
+class TestStructurePass:
+    def test_runs_once_per_graph(self, monkeypatch):
+        calls = []
+        real = blocks._structure_pass
+        monkeypatch.setattr(blocks, "_structure_pass",
+                            lambda g: calls.append(g) or real(g))
+        graphs = [decorated_square(), Graph(6, [(0, 1), (0, 2), (1, 2),
+                                                (0, 3), (3, 4), (3, 5)])]
+        for g in graphs:
+            verdict = classify(g)
+            assert witness_kernel_element(g, verdict) is not None
+            pendant_trees(g)
+            block_decomposition(g)
+            two_edge_connected_components(g)
+        assert calls == graphs
 
 
 class TestAhuCode:

@@ -4,10 +4,15 @@ from homrep import (
     Automorphism,
     DisconnectedGraphError,
     Graph,
+    block_decomposition,
     classify,
     classify_fast_2edge,
+    is_periodic_unicyclic,
     named_family,
+    pendant_trees,
     representation,
+    two_edge_connected_components,
+    unique_cycle,
     witness_kernel_element,
 )
 
@@ -55,8 +60,14 @@ class TestClassify:
         assert classify(bowtie).faithful
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            classify(Graph(4, [(0, 1), (2, 3)]))
+        # the structure accessors reject it too; nothing is memoised for
+        # a disconnected graph, so asking twice raises twice
+        for g in (Graph(4, [(0, 1), (2, 3)]), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])):
+            for fn in (classify, witness_kernel_element, block_decomposition,
+                       two_edge_connected_components, pendant_trees,
+                       unique_cycle, is_periodic_unicyclic, classify):
+                with pytest.raises(DisconnectedGraphError):
+                    fn(g)
 
     def test_one_leaf_per_vertex_is_periodic(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)])

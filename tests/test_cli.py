@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import homrep
 from homrep import parse_edge_list
 from homrep.cli import main
 
@@ -139,6 +141,11 @@ class TestRep:
         from homrep import named_family
         assert parse_edge_list(text) == named_family("bowtie", 5)
 
+    def test_json_is_indented_with_one_trailing_newline(self, capsys):
+        code, out, _ = run_cli(capsys, "rep", "--family", "bowtie", "5", "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
 
 class TestClassify:
     def test_faithful_exit_0(self, capsys):
@@ -216,8 +223,12 @@ class TestGen:
 
 
 def test_module_entry_point():
+    # the child interpreter imports the package under test, also when only
+    # pytest's `pythonpath` setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(homrep.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "homrep", "classify", "--family", "complete", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "faithful"
