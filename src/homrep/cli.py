@@ -210,12 +210,14 @@ def cmd_verify(args) -> int:
     shown = {"n": None, "count": 0}
 
     def progress(n, count):
-        if not args.json and (count % 2000 == 0 or count == 1 and n != shown["n"]):
+        if args.json:
+            return
+        if shown["n"] is None:  # printed late, so rejected options print nothing
+            print(f"tree seeds: {list(seeds)}; pair sample: {args.sample}")
+        if count % 2000 == 0 or count == 1 and n != shown["n"]:
             shown["n"] = n
             print(f"n={n}: {count} graphs checked ...", flush=True)
 
-    if not args.json:
-        print(f"tree seeds: {list(seeds)}; pair sample: {args.sample}")
     summary = verify_corpus(args.n_max, seeds=seeds, pair_sample=args.sample,
                             cap=args.cap, fail_fast=True, progress=progress)
     if args.json:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
+from .errors import DisconnectedGraphError
 from .graphs import Dart, Graph, require_connected
 
 
@@ -73,7 +74,7 @@ class SpanningTreeBasis:
     """
 
     __slots__ = ("graph", "root", "tree_edges", "cotree", "parent", "depth",
-                 "_cycles", "_coord_index")
+                 "_cycles", "_coord_index", "_dart_table")
 
     def __init__(self, graph: Graph, tree_edges: Iterable[tuple[int, int]],
                  root: int = 0):
@@ -110,6 +111,7 @@ class SpanningTreeBasis:
         self.cotree = tuple(Dart(u, v) for u, v in graph.edges if (u, v) not in tree)
         self._cycles: tuple[OrientedCycle, ...] | None = None
         self._coord_index: dict[Dart, tuple[int, int]] | None = None
+        self._dart_table: dict[tuple[int, int], tuple[int, ...]] | None = None
 
     @property
     def beta(self) -> int:
@@ -150,6 +152,21 @@ class SpanningTreeBasis:
             self._coord_index = index
         return self._coord_index
 
+    def cycle_dart_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Signed cycle-dart incidence, one row per dart (tail, head).
+
+        Entry j of the row of dart d is +1 when the j-th fundamental
+        cycle traverses d, -1 when it traverses d's inverse, 0 otherwise.
+        """
+        if self._dart_table is None:
+            rows = {d: [0] * self.beta for u, v in self.graph.edges for d in ((u, v), (v, u))}
+            for j, (u, v) in enumerate(self.cotree):
+                for t, h in [(u, v)] + self.tree_path_darts(v, u):
+                    rows[t, h][j] = 1
+                    rows[h, t][j] = -1
+            self._dart_table = {d: tuple(row) for d, row in rows.items()}
+        return self._dart_table
+
     def __repr__(self) -> str:
         return (f"SpanningTreeBasis(root={self.root}, "
                 f"tree={sorted(self.tree_edges)}, cotree={list(self.cotree)})")
@@ -173,7 +190,6 @@ def spanning_tree_basis(g: Graph) -> SpanningTreeBasis:
 
     Deterministic, so repeated runs (and golden outputs) agree.
     """
-    require_connected(g)
     n = g.n
     seen = [False] * n
     seen[0] = True
@@ -185,12 +201,13 @@ def spanning_tree_basis(g: Graph) -> SpanningTreeBasis:
                 seen[y] = True
                 tree.append((x, y))
                 queue.append(y)
+    if len(queue) != n:
+        raise DisconnectedGraphError("graph is not connected")
     return SpanningTreeBasis(g, tree, root=0)
 
 
 def random_spanning_tree_basis(g: Graph, seed: int) -> SpanningTreeBasis:
     """Seeded randomized-DFS spanning tree; same seed, same basis."""
-    require_connected(g)
     rng = random.Random(seed)
     n = g.n
     root = rng.randrange(n)
@@ -209,6 +226,8 @@ def random_spanning_tree_basis(g: Graph, seed: int) -> SpanningTreeBasis:
         for y in nbrs:
             if not seen[y]:
                 stack.append((y, x))
+    if len(tree) != n - 1:
+        raise DisconnectedGraphError("graph is not connected")
     return SpanningTreeBasis(g, tree, root=root)
 
 

@@ -8,6 +8,8 @@ dimension 0 exist and behave as the empty identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -25,6 +27,7 @@ class IntMatrix:
         return cls(tuple(tuple(int(x) for x in r) for r in rows))
 
     @classmethod
+    @lru_cache(maxsize=16)
     def identity(cls, dim: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(dim))
                          for i in range(dim)))
@@ -34,17 +37,23 @@ class IntMatrix:
         return len(self.rows)
 
     def is_identity(self) -> bool:
-        return all(x == (1 if i == j else 0)
-                   for i, row in enumerate(self.rows)
-                   for j, x in enumerate(row))
+        return self.rows == IntMatrix.identity(self.dim).rows
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
-        cols = tuple(zip(*other.rows)) if other.rows else ()
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows))
+        out = []
+        for row in self.rows:  # sparse: add coef * other's row k per nonzero row[k]
+            acc = [0] * len(row)
+            for coef, b_row in zip(row, other.rows):
+                if coef == 1:
+                    acc = list(map(add, acc, b_row))
+                elif coef == -1:
+                    acc = list(map(sub, acc, b_row))
+                elif coef:
+                    acc = [a + coef * b for a, b in zip(acc, b_row)]
+            out.append(tuple(acc))
+        return IntMatrix(tuple(out))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)) if self.rows else ())

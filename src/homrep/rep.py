@@ -6,6 +6,11 @@ Conventions (fixed once, used everywhere):
   * compose(f, g) applies g first, which makes the assignment
     f -> matrix a homomorphism under ordinary matrix product.
 
+The matrix is built row by row as a gather from the basis's cycle-dart
+table Z (`SpanningTreeBasis.cycle_dart_table`): entry (i, j) counts the
+signed traversals of the co-tree dart x_i by f(C_j), that is of the
+dart f^-1(x_i) by C_j, so row i of the matrix of f is Z[f^-1(x_i)].
+
 Every matrix has entries in {-1, 0, 1} and determinant +/-1; the kernel
 is the set of automorphisms mapped to the identity matrix.
 """
@@ -16,60 +21,31 @@ from dataclasses import dataclass
 
 from .autgroup import DEFAULT_CAP, Automorphism, automorphisms
 from .cycles import SpanningTreeBasis, cycle_coordinates, spanning_tree_basis
-from .graphs import Dart, Graph
+from .graphs import Graph
 from .matrices import IntMatrix, is_prime
 
 
-def _matrix_columns(perm: tuple[int, ...],
-                    b: SpanningTreeBasis) -> tuple[tuple[int, ...], ...]:
-    """Columns of the matrix of the permutation, without object wrapping.
-
-    Walks each fundamental cycle's darts through the permutation and
-    accumulates signed hits on co-tree darts.  Hot path for the
-    exhaustive verifier.
-    """
-    index = b.coordinate_index()
-    beta = b.beta
-    cols = []
-    for c in b.fundamental_cycles():
-        col = [0] * beta
-        for d in c.darts:
-            hit = index.get(Dart(perm[d.tail], perm[d.head]))
-            if hit is not None:
-                col[hit[0]] += hit[1]
-        cols.append(tuple(col))
-    return tuple(cols)
+def _gather(perm: tuple[int, ...], b: SpanningTreeBasis) -> tuple[tuple[int, ...], ...]:
+    """Rows of the matrix of an automorphism's permutation in basis b."""
+    inv = dict(zip(perm, range(len(perm))))
+    table = b.cycle_dart_table()
+    return tuple(table[inv[u], inv[v]] for u, v in b.cotree)
 
 
 def _is_kernel_perm(perm: tuple[int, ...], b: SpanningTreeBasis,
                     p: int | None = None) -> bool:
-    """True iff the permutation's matrix is the identity (mod p if given).
-
-    Aborts on the first column that deviates from the unit vector, which
-    keeps whole-group kernel scans cheap.
-    """
-    index = b.coordinate_index()
-    for j, c in enumerate(b.fundamental_cycles()):
-        col = [0] * b.beta
-        for d in c.darts:
-            hit = index.get(Dart(perm[d.tail], perm[d.head]))
-            if hit is not None:
-                col[hit[0]] += hit[1]
-        for i, x in enumerate(col):
-            want = 1 if i == j else 0
-            if p is None:
-                if x != want:
-                    return False
-            elif (x - want) % p != 0:
-                return False
-    return True
+    """True iff the permutation's matrix is the identity (mod p if given)."""
+    rows = _gather(perm, b)
+    unit = IntMatrix.identity(len(rows)).rows
+    return rows == unit or p is not None and all(
+        (x - w) % p == 0 for row, unit_row in zip(rows, unit) for x, w in zip(row, unit_row))
 
 
 def matrix_of(f: Automorphism, b: SpanningTreeBasis) -> IntMatrix:
     """Matrix of f in basis b; the empty 0x0 matrix when beta = 0."""
     if f.graph != b.graph:
         raise ValueError("automorphism and basis belong to different graphs")
-    return IntMatrix(_matrix_columns(f.perm, b)).transpose()
+    return IntMatrix(_gather(f.perm, b))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .classify import classify, classify_fast_2edge, witness_kernel_element
 from .cycles import cycle_coordinates, random_spanning_tree_basis, spanning_tree_basis
 from .graphs import Graph, enumerate_connected_graphs, format_edge_list
 from .matrices import IntMatrix, determinant, inverse_unimodular
-from .rep import _is_kernel_perm, _matrix_columns, change_of_basis
+from .rep import _gather, _is_kernel_perm, change_of_basis
 
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 DEFAULT_PAIR_SAMPLE = 200
@@ -75,7 +75,7 @@ class VerificationSummary:
 
 CRITERIA = (
     "classify_oracle",      # verdict agrees with brute-force kernel triviality
-    "homomorphism",         # M(f.g) = M(f) M(g); det +/-1; entries in {-1,0,1}
+    "homomorphism",         # M(f.g) = M(f) M(g); det +/-1; entries in {-1,0,1}; dart walk
     "basis_independence",   # kernel identical under seeded random trees; conjugacy
     "kernel_structure",     # kernel elements fix cycles/blocks/2ec subgraphs
     "min_degree_two",       # no leaves => trivial kernel unless a simple cycle
@@ -89,33 +89,19 @@ CRITERIA = (
 )
 
 
-def _unit_columns(beta: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for i in range(beta))
-                 for j in range(beta))
-
-
-def _mul_cols(a_cols, b_cols, beta):
-    out = []
-    for bc in b_cols:
-        col = [0] * beta
-        for i, coef in enumerate(bc):
-            if coef:
-                ac = a_cols[i]
-                if coef == 1:
-                    for r in range(beta):
-                        col[r] += ac[r]
-                elif coef == -1:
-                    for r in range(beta):
-                        col[r] -= ac[r]
-                else:
-                    for r in range(beta):
-                        col[r] += coef * ac[r]
-        out.append(tuple(col))
-    return tuple(out)
-
-
-def _det_cols(cols) -> int:
-    return determinant(IntMatrix(tuple(cols)).transpose())
+def _walk_columns(perm: tuple[int, ...], b) -> tuple[tuple[int, ...], ...]:
+    """Oracle for `rep._gather`: column j is the j-th fundamental cycle's
+    darts mapped through perm, read through the co-tree coordinate index."""
+    index = b.coordinate_index()
+    cols = []
+    for c in b.fundamental_cycles():
+        col = [0] * b.beta
+        for d in c.darts:
+            hit = index.get((perm[d.tail], perm[d.head]))
+            if hit is not None:
+                col[hit[0]] += hit[1]
+        cols.append(tuple(col))
+    return tuple(cols)
 
 
 def _rotation_perms(g: Graph) -> set[tuple[int, ...]]:
@@ -200,10 +186,10 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
     s = run.summary
     b = spanning_tree_basis(g)
     beta = b.beta
-    unit = _unit_columns(beta)
+    unit = IntMatrix.identity(beta).rows
     perms = automorphism_perms(g, run.cap)
-    cols = {p: _matrix_columns(p, b) for p in perms}
-    kernel = [p for p in perms if cols[p] == unit]
+    mats = {p: IntMatrix(_gather(p, b)) for p in perms}
+    kernel = [p for p in perms if mats[p].is_identity()]
     kernel_set = set(kernel)
 
     # cycle_basis: cotree size and own coordinates
@@ -287,9 +273,12 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
         if run.stopped:
             return
 
-    # criterion 2: homomorphism, determinant, entry range
-    entries_ok = all(abs(x) <= 1 for p in perms for col in cols[p] for x in col)
-    run.record("homomorphism", entries_ok, g, "matrix entry outside {-1,0,1}")
+    # criterion 2: homomorphism, determinant, entry range; the gather against the walk
+    entries_ok = all(abs(x) <= 1 for p in perms for row in mats[p].rows for x in row)
+    walk_ok = all(mats[p].rows == tuple(zip(*_walk_columns(p, b))) for p in perms)
+    run.record("homomorphism", entries_ok and walk_ok, g,
+               "matrix entry outside {-1,0,1}" if not entries_ok
+               else "gathered matrix differs from the dart walk")
     if run.stopped:
         return
     order = len(perms)
@@ -302,13 +291,13 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
                  for _ in range(run.pair_sample)]
         det_perms = sorted({p for pair in pairs for p in pair})
     for p in det_perms:
-        run.record("homomorphism", abs(_det_cols(cols[p])) == 1, g,
+        run.record("homomorphism", abs(determinant(mats[p])) == 1, g,
                    "matrix determinant is not +/-1")
         if run.stopped:
             return
     for f, h in pairs:
         fh = tuple(f[h[v]] for v in range(g.n))
-        ok = cols[fh] == _mul_cols(cols[f], cols[h], beta)
+        ok = mats[fh] == mats[f] @ mats[h]
         run.record("homomorphism", ok, g,
                    "matrix of a composite differs from the matrix product")
         if run.stopped:
@@ -330,9 +319,7 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
                 return
             p_inv = inverse_unimodular(p_mat)
             for p in perms:
-                m_old = IntMatrix(cols[p]).transpose()
-                m_new = IntMatrix(_matrix_columns(p, b2)).transpose()
-                ok = m_new == p_inv @ m_old @ p_mat
+                ok = IntMatrix(_gather(p, b2)) == p_inv @ mats[p] @ p_mat
                 run.record("basis_independence", ok, g,
                            f"conjugacy identity failed (seed {seed})")
                 if run.stopped:
@@ -432,10 +419,16 @@ def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS,
                   sample_seed: int = 7, fail_fast: bool = False,
                   progress=None) -> VerificationSummary:
     """Run every per-graph check over all labeled connected graphs with
-    2 <= n <= n_max vertices.  n_max is capped at 6."""
+    2 <= n <= n_max vertices.  n_max is capped at 6; seeds must be
+    nonempty and pair_sample positive, so that no criterion is vacuous."""
     if not 2 <= n_max <= 6:
         raise ValueError(f"verification supports 2 <= n_max <= 6, got {n_max}")
-    run = _Run(n_max, tuple(seeds), pair_sample, cap, sample_seed, fail_fast)
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("at least one tree seed is needed for basis_independence")
+    if pair_sample < 1:
+        raise ValueError(f"pair sample must be at least 1, got {pair_sample}")
+    run = _Run(n_max, seeds, pair_sample, cap, sample_seed, fail_fast)
     for n in range(2, n_max + 1):
         count = 0
         for idx, g in enumerate(enumerate_connected_graphs(n)):

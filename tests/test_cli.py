@@ -190,6 +190,39 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n-max", "9")
         assert code == 2 and "n_max" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("flags", [("--seeds", ","), ("--seeds", ""), ("--sample", "0"),
+                                       ("--sample", "-1")], ids=["seeds-comma", "seeds-empty",
+                                                                  "sample-0", "sample-neg"])
+    def test_vacuous_options_exit_2(self, capsys, flags, mode):
+        code, out, err = run_cli(capsys, "verify", "--n-max", "4", *flags, *mode)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("kwargs", [{"seeds": ()}, {"pair_sample": 0}],
+                             ids=["seeds", "pair_sample"])
+    def test_verify_corpus_rejects_vacuous_options(self, kwargs):
+        with pytest.raises(ValueError):
+            homrep.verify_corpus(3, **kwargs)
+
+    def test_gather_checked_against_dart_walk(self, capsys, monkeypatch):
+        # a transposed gather keeps every kernel, so the kernel criteria
+        # miss it; the dart-walk oracle is the first homomorphism check
+        import homrep.rep
+        import homrep.verify
+
+        gather = homrep.rep._gather
+
+        def transposed(perm, b):
+            return tuple(zip(*gather(perm, b)))
+
+        monkeypatch.setattr(homrep.rep, "_gather", transposed)
+        monkeypatch.setattr(homrep.verify, "_gather", transposed)
+        r = homrep.verify_corpus(4).criteria["homomorphism"]
+        assert r.violations > 0
+        assert r.first_detail.startswith("gathered matrix differs from the dart walk")
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+        assert code == 5 and "DISAGREEMENT FOUND" in out
+
     def test_seed_flag_parsed(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "3",
                                "--seeds", "2,4", "--json")

@@ -30,8 +30,16 @@ class TestBetti:
         assert betti(named_family("star", 3)) == 0
 
     def test_disconnected_rejected(self):
+        g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            betti(Graph(4, [(0, 1), (2, 3)]))
+            betti(g)
+        with pytest.raises(DisconnectedGraphError):
+            spanning_tree_basis(g)
+        # the random root lands in either component, or on the isolated vertex
+        for h in (g, Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), Graph(3, [(0, 1)])):
+            for seed in range(6):
+                with pytest.raises(DisconnectedGraphError):
+                    random_spanning_tree_basis(h, seed)
 
 
 class TestDeterministicBasis:

@@ -21,6 +21,11 @@ from homrep import (
 from helpers import laplace_determinant, signed_incidence_matrix
 
 
+def _bases(g):
+    """The canonical basis and three seeded random ones."""
+    return [spanning_tree_basis(g)] + [random_spanning_tree_basis(g, s) for s in (1, 2, 3)]
+
+
 class TestIntMatrix:
     def test_identity(self):
         m = IntMatrix.identity(3)
@@ -100,12 +105,13 @@ class TestMatrixOf:
         assert determinant(m) == 1
         assert m.rows == tuple(signed_incidence_matrix(k4, swap.perm, b))
 
-    def test_matches_signed_incidence_oracle(self, k4, bowtie):
-        for g in (k4, bowtie, named_family("cycle", 5)):
-            b = spanning_tree_basis(g)
-            for f in automorphisms(g):
-                assert (matrix_of(f, b).rows
-                        == tuple(signed_incidence_matrix(g, f.perm, b)))
+    def test_matches_signed_incidence_oracle(self, corpus5):
+        for g in corpus5:
+            auts = automorphisms(g)
+            for b in _bases(g):
+                for f in auts:
+                    assert (matrix_of(f, b).rows
+                            == tuple(signed_incidence_matrix(g, f.perm, b)))
 
     def test_beta_zero_gives_empty_matrix(self):
         star = named_family("star", 3)
@@ -227,6 +233,15 @@ class TestModP:
         c5 = named_family("cycle", 5)
         rep = representation(c5)
         assert len(kernel_mod_p(c5, p=2)) == 10 > len(rep.kernel) == 5
+
+    def test_kernel_mod_p_is_reduced_identity(self, corpus5):
+        for g in corpus5:
+            auts = automorphisms(g)
+            for b in _bases(g):
+                for p in (2, 3):
+                    want = [f for f in auts
+                            if matrix_mod_p(matrix_of(f, b), p).is_identity()]
+                    assert kernel_mod_p(g, b, p) == want
 
     def test_rejects_composite_p(self, k4):
         with pytest.raises(ValueError):
