@@ -4,15 +4,18 @@ One structure pass per graph, memoised on the immutable Graph, computes
 blocks (maximal 2-connected subgraphs), cutvertices and bridges,
 2-edge-connected components, pendant trees hanging off nontrivial blocks
 and the unique cycle; the public functions read it.  Also here: the
-bipartite block tree and its centre, canonical codes for rooted trees,
-and detection of unicyclic graphs whose unique cycle admits a nontrivial
-rotation, where the tree hanging from a cycle vertex is its pendant tree
-(or the bare vertex).
+bipartite block tree and the tree centre, and integer AHU labels for
+rooted trees, which answer every rooted-tree question: canonical codes,
+rigidity, explicit isomorphisms, and detection of unicyclic graphs whose
+unique cycle admits a nontrivial rotation, where the tree hanging from a
+cycle vertex is its pendant tree, or the bare vertex, whose label is the
+leaf label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .cycles import OrientedCycle
 from .errors import DisconnectedGraphError
@@ -158,12 +161,21 @@ def block_tree(d: BlockDecomposition) -> BlockTree:
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
+    centre = _tree_centre(adj)
+    if len(centre) != 1:
+        raise RuntimeError(
+            f"block tree centre is not a single node: {sorted(centre)}")
+    return BlockTree(tuple(nodes), tuple(edges), centre[0])
 
+
+def _tree_centre(adj) -> list[int]:
+    """The centre of the tree with neighbour lists adj on 0..len(adj)-1:
+    the one or two nodes left by iterated leaf removal."""
     # a node joins the next layer when its degree drops to one; peeled
     # nodes only drop further, so they never rejoin
     deg = [len(a) for a in adj]
-    leaves = [i for i in range(total) if deg[i] <= 1]
-    remaining = total
+    leaves = [i for i in range(len(adj)) if deg[i] <= 1]
+    remaining = len(adj)
     while remaining > 2 and leaves:
         remaining -= len(leaves)
         next_leaves = []
@@ -173,10 +185,7 @@ def block_tree(d: BlockDecomposition) -> BlockTree:
                 if deg[other] == 1:
                     next_leaves.append(other)
         leaves = next_leaves
-    if len(leaves) != 1:
-        raise RuntimeError(
-            f"block tree centre is not a single node: {sorted(leaves)}")
-    return BlockTree(tuple(nodes), tuple(edges), leaves[0])
+    return leaves
 
 
 def is_simple_cycle_graph(g: Graph) -> bool:
@@ -317,48 +326,48 @@ def pendant_trees(g: Graph) -> tuple[PendantTree, ...]:
     return _structure(g).pendant_trees
 
 
-def _tree_adjacency(g: Graph, vertices) -> dict[int, list[int]]:
-    vset = set(vertices)
-    adj: dict[int, list[int]] = {v: [] for v in vset}
-    nedges = 0
-    for u, v in g.edges:
-        if u in vset and v in vset:
-            adj[u].append(v)
-            adj[v].append(u)
-            nedges += 1
-    if nedges != len(vset) - 1:
-        raise ValueError("vertex set does not induce a tree")
-    # connectivity check: reach everything from an arbitrary vertex
-    start = next(iter(vset))
-    seen = {start}
-    queue = [start]
-    for x in queue:
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if seen != vset:
-        raise ValueError("vertex set does not induce a tree")
-    for v in adj:
-        adj[v].sort()
-    return adj
+def _subtree_labels(adj, roots, table: dict) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """AHU labels (Aho-Hopcroft-Ullman) of the forest that a breadth-first
+    search from the roots spans in adj, and every vertex's children, in
+    the order of that search.
+
+    A vertex's label is the number of the sorted tuple of its children's
+    labels in table, so labels from one shared table are equal iff the
+    rooted subtrees are isomorphic.  A bare vertex has the leaf label,
+    that of ().
+    """
+    children: dict[int, list[int]] = {r: [] for r in roots}
+    order = list(children)
+    for v in order:
+        kids = children[v]
+        for c in adj[v]:
+            if c not in children:
+                children[c] = []
+                kids.append(c)
+                order.append(c)
+    labels: dict[int, int] = {}
+    for v in reversed(order):
+        key = tuple(sorted(labels[c] for c in children[v]))
+        labels[v] = table.setdefault(key, len(table))
+    return labels, children
 
 
-def _subtree_codes(adj: dict[int, list[int]], root: int) -> dict[int, str]:
-    """Canonical parenthesis code of every subtree, bottom-up."""
-    codes: dict[int, str] = {}
-    stack = [(root, -1, False)]
-    while stack:
-        v, par, done = stack.pop()
-        if done:
-            children = sorted(codes[c] for c in adj[v] if c != par)
-            codes[v] = "(" + "".join(children) + ")"
-        else:
-            stack.append((v, par, True))
-            for c in adj[v]:
-                if c != par:
-                    stack.append((c, v, False))
-    return codes
+def _equal_siblings(roots, labels: dict[int, int],
+                    children: dict[int, list[int]]) -> tuple[int, int] | None:
+    """The first two siblings with equal labels, or None when there are
+    none, i.e. the rooted tree is rigid.
+
+    The roots count as siblings, children of a virtual root: a tree
+    rooted at its bicentre u-v, with roots (u, v), is split there by a
+    vertex that every automorphism fixes.
+    """
+    for group in chain([roots], children.values()):
+        first: dict[int, int] = {}
+        for c in group:
+            if labels[c] in first:
+                return first[labels[c]], c
+            first[labels[c]] = c
+    return None
 
 
 def ahu_code(g: Graph, vertices, root: int) -> str:
@@ -371,50 +380,49 @@ def ahu_code(g: Graph, vertices, root: int) -> str:
     vset = set(vertices)
     if root not in vset:
         raise ValueError(f"root {root} is not among the tree vertices")
-    adj = _tree_adjacency(g, vset)
-    return _subtree_codes(adj, root)[root]
+    adj: dict[int, list[int]] = {v: [] for v in vset}
+    for u, v in g.edges:
+        if u in vset and v in vset:
+            adj[u].append(v)
+            adj[v].append(u)
+    table: dict[tuple[int, ...], int] = {}
+    labels, _ = _subtree_labels(adj, [root], table)
+    # a tree has |V| - 1 edges and the search from the root reaches all of it
+    if sum(map(len, adj.values())) != 2 * (len(vset) - 1) or len(labels) != len(vset):
+        raise ValueError("vertex set does not induce a tree")
+    # keys are created children first, so each child's code is ready
+    codes: list[str] = []
+    for key in table:
+        codes.append("(" + "".join(sorted(codes[c] for c in key)) + ")")
+    return codes[labels[root]]
 
 
 def is_rigid_pendant_tree(s: PendantTree) -> bool:
     """True iff the tree admits no nontrivial root-fixing automorphism.
 
-    Equivalent to: no vertex has two children with equal canonical
-    codes, rooted at the pendant root.
+    Equivalent to: no vertex has two children with equal AHU labels,
+    rooted at the pendant root.
     """
-    adj = s.adjacency()
-    codes = _subtree_codes(adj, s.root)
-    stack = [(s.root, -1)]
-    while stack:
-        v, par = stack.pop()
-        child_codes = [codes[c] for c in adj[v] if c != par]
-        if len(child_codes) != len(set(child_codes)):
-            return False
-        stack.extend((c, v) for c in adj[v] if c != par)
-    return True
+    return _equal_siblings([s.root], *_subtree_labels(s.adjacency(), [s.root], {})) is None
 
 
-def rooted_tree_isomorphism(adj_a: dict[int, list[int]], root_a: int,
-                            adj_b: dict[int, list[int]], root_b: int) -> dict[int, int] | None:
-    """An explicit root-to-root isomorphism, or None when codes differ.
+def rooted_tree_isomorphism(labels: dict[int, int], children: dict[int, list[int]],
+                            a: int, b: int) -> dict[int, int]:
+    """An explicit isomorphism of the subtrees rooted at a and b of one
+    labelled forest (see _subtree_labels), which must carry equal labels.
 
-    Children with equal codes are paired in (code, label) order, which
-    keeps the map deterministic.
+    Children with equal labels are paired in (label, vertex) order,
+    which keeps the map deterministic.
     """
-    codes_a = _subtree_codes(adj_a, root_a)
-    codes_b = _subtree_codes(adj_b, root_b)
-    if codes_a[root_a] != codes_b[root_b]:
-        return None
-    mapping = {root_a: root_b}
-    stack = [(root_a, -1, root_b, -1)]
+    mapping = {a: b}
+    stack = [(a, b)]
     while stack:
-        va, pa, vb, pb = stack.pop()
-        kids_a = sorted(((codes_a[c], c) for c in adj_a[va] if c != pa))
-        kids_b = sorted(((codes_b[c], c) for c in adj_b[vb] if c != pb))
-        for (ca, a), (cb, bb) in zip(kids_a, kids_b):
-            if ca != cb:
-                return None
-            mapping[a] = bb
-            stack.append((a, va, bb, vb))
+        x, y = stack.pop()
+        kids_x = sorted((labels[c], c) for c in children[x])
+        kids_y = sorted((labels[c], c) for c in children[y])
+        for (_, cx), (_, cy) in zip(kids_x, kids_y):
+            mapping[cx] = cy
+            stack.append((cx, cy))
     return mapping
 
 def unique_cycle(g: Graph) -> OrientedCycle:
@@ -434,17 +442,18 @@ def is_periodic_unicyclic(g: Graph) -> tuple[bool, int | None]:
     """Detect a nontrivial rotation of the unique cycle.
 
     Returns (False, None) unless the graph has exactly one independent
-    cycle.  Otherwise each cycle vertex is encoded by the canonical code
-    of its pendant tree, or "()" when it roots none; the graph admits a
-    nontrivial rotation iff this cyclic word has minimal period
+    cycle.  Otherwise each cycle vertex is encoded by the integer AHU
+    label, from one table, of the tree hanging from it: its pendant
+    tree, or the bare vertex, which has the leaf label.  The graph admits
+    a nontrivial rotation iff this cyclic word has minimal period
     k < cycle length, and then (True, k) is returned.
     """
-    s = _structure(g)
-    if s.cycle is None:
+    cycle = _structure(g).cycle
+    if cycle is None:
         return (False, None)
-    codes = {t.root: _subtree_codes(t.adjacency(), t.root)[t.root]
-             for t in s.pendant_trees}
-    word = [codes.get(v, "()") for v in s.cycle.vertices()]
+    verts = cycle.vertices()
+    labels, _ = _subtree_labels([g.neighbors(x) for x in range(g.n)], verts, {})
+    word = [labels[v] for v in verts]
     m = len(word)
     k = next(k for k in range(1, m + 1)
              if m % k == 0 and all(word[j] == word[(j + k) % m] for j in range(m)))

@@ -4,18 +4,23 @@ The matrix action of the automorphism group on the homology basis fails
 to be injective exactly when one of three structural conditions holds:
 the graph is a tree with symmetry, some pendant tree is symmetric, or
 the graph is unicyclic and its unique cycle admits a nontrivial
-rotation.  The classifier checks those conditions directly; the only
-group search it ever performs is the early-exit symmetry test on trees,
-so it stays polynomial while the brute-force oracle is exponential.
+rotation.  All three are rooted-tree questions, and the classifier and
+the witnesses answer them with integer AHU labels (blocks.py): a tree is
+rooted at its centre, a pendant tree at its root, and the trees hanging
+from the unique cycle at their cycle vertices.  No group search is ever
+performed, so classification stays near-linear while the brute-force
+oracle is exponential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autgroup import Automorphism, has_nontrivial_automorphism
+from .autgroup import Automorphism
 from .blocks import (
-    _subtree_codes,
+    _equal_siblings,
+    _subtree_labels,
+    _tree_centre,
     is_periodic_unicyclic,
     is_rigid_pendant_tree,
     is_simple_cycle_graph,
@@ -25,7 +30,6 @@ from .blocks import (
 )
 from .cycles import betti
 from .graphs import Graph, require_connected
-from . import _kernels
 
 FAITHFUL = "Faithful"
 TREE_WITH_SYMMETRY = "TreeWithSymmetry"
@@ -65,7 +69,10 @@ def classify(g: Graph) -> Verdict:
     several conditions hold the first one in that order is reported.
     """
     if betti(g) == 0:
-        if has_nontrivial_automorphism(g):
+        # automorphisms fix the centre: symmetry means isomorphic siblings
+        adj = [g.neighbors(v) for v in range(g.n)]
+        roots = _tree_centre(adj)
+        if _equal_siblings(roots, *_subtree_labels(adj, roots, {})) is not None:
             return Verdict(False, TREE_WITH_SYMMETRY)
         return Verdict(True, FAITHFUL)
     for s in pendant_trees(g):
@@ -91,26 +98,27 @@ def classify_fast_2edge(g: Graph) -> Verdict | None:
     return Verdict(True, FAITHFUL)
 
 
-def _subtree_vertices(adj: dict[int, list[int]], start: int, avoid: int) -> list[int]:
-    out = [start]
-    seen = {start, avoid}
-    queue = [start]
-    for x in queue:
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                out.append(y)
-                queue.append(y)
-    return out
+def _sibling_swap(g: Graph, adj, roots) -> Automorphism:
+    """Swap the first two siblings with equal labels, with their subtrees,
+    in the tree adj rooted at roots; every other vertex of g stays fixed."""
+    labels, children = _subtree_labels(adj, roots, {})
+    pair = _equal_siblings(roots, labels, children)
+    if pair is None:
+        raise ValueError("no two sibling subtrees are isomorphic")
+    perm = list(range(g.n))
+    for x, y in rooted_tree_isomorphism(labels, children, *pair).items():
+        perm[x], perm[y] = y, x
+    return Automorphism(g, tuple(perm))
 
 
 def witness_kernel_element(g: Graph, verdict: Verdict | None = None) -> Automorphism | None:
     """A nontrivial automorphism acting trivially on homology, or None.
 
-    Constructs the witness promised by the verdict: any symmetry for a
-    symmetric tree, a swap of two isomorphic hanging subtrees for a
-    symmetric pendant tree, or the cycle rotation for the periodic
-    unicyclic case.
+    Constructs the witness promised by the verdict: for a symmetric tree
+    (rooted at its centre) or a symmetric pendant tree, the swap of the
+    first two isomorphic sibling subtrees; for the periodic unicyclic
+    case, the cycle rotation.  Raises ValueError when the verdict does
+    not hold for g.
     """
     if verdict is None:
         verdict = classify(g)
@@ -118,53 +126,30 @@ def witness_kernel_element(g: Graph, verdict: Verdict | None = None) -> Automorp
         return None
 
     if verdict.reason == TREE_WITH_SYMMETRY:
-        perms = _kernels.search_automorphisms(g.n, g.adjacency_masks(), 2)
-        return Automorphism(g, perms[1])
+        if betti(g) != 0:
+            raise ValueError("graph is not a tree")
+        adj = [g.neighbors(v) for v in range(g.n)]
+        return _sibling_swap(g, adj, _tree_centre(adj))
 
     if verdict.reason == SYMMETRIC_PENDANT_TREE:
-        s = next(t for t in pendant_trees(g) if t.root == verdict.root)
-        adj = s.adjacency()
-        codes = _subtree_codes(adj, s.root)
-        stack = [(s.root, -1)]
-        while stack:
-            v, par = stack.pop()
-            kids = sorted((codes[c], c) for c in adj[v] if c != par)
-            pair = None
-            for (c1, a), (c2, b) in zip(kids, kids[1:]):
-                if c1 == c2:
-                    pair = (a, b)
-                    break
-            if pair is not None:
-                a, b = pair
-                sub_a = _subtree_vertices(adj, a, v)
-                sub_b = _subtree_vertices(adj, b, v)
-                # restrict matching to the two hanging subtrees; the rest
-                # of the pendant tree must stay fixed
-                set_a, set_b = set(sub_a), set(sub_b)
-                adj_a = {x: [y for y in adj[x] if y in set_a] for x in sub_a}
-                adj_b = {x: [y for y in adj[x] if y in set_b] for x in sub_b}
-                iso = rooted_tree_isomorphism(adj_a, a, adj_b, b)
-                perm = list(range(g.n))
-                for x in sub_a:
-                    perm[x] = iso[x]
-                    perm[iso[x]] = x
-                return Automorphism(g, tuple(perm))
-            stack.extend((c, v) for c in adj[v] if c != par)
-        raise RuntimeError("symmetric pendant tree lost its symmetry")
+        for t in pendant_trees(g):
+            if t.root == verdict.root:
+                return _sibling_swap(g, t.adjacency(), [t.root])
+        raise ValueError(f"no pendant tree hangs from vertex {verdict.root}")
 
     if verdict.reason == PERIODIC_UNICYCLIC:
-        # the tree hanging from a cycle vertex is its pendant tree, or
-        # the bare vertex
         verts = unique_cycle(g).vertices()
-        hanging = {t.root: t.adjacency() for t in pendant_trees(g)}
-        adjs = [hanging.get(v, {v: []}) for v in verts]
+        k = verdict.period
+        if k not in range(1, len(verts)):
+            raise ValueError(f"period {k} is not a nontrivial rotation of the cycle")
+        # the hanging trees, rooted at the cycle vertices, from one table
+        labels, children = _subtree_labels([g.neighbors(v) for v in range(g.n)], verts, {})
+        pairs = list(zip(verts, verts[k:] + verts[:k]))
+        if any(labels[a] != labels[b] for a, b in pairs):
+            raise ValueError(f"the cycle does not rotate by {k}")
         perm = list(range(g.n))
-        for j, v in enumerate(verts):
-            i = (j + verdict.period) % len(verts)
-            iso = rooted_tree_isomorphism(adjs[j], v, adjs[i], verts[i])
-            if iso is None:
-                raise RuntimeError("hanging trees not isomorphic despite period")
-            for x, y in iso.items():
+        for a, b in pairs:
+            for x, y in rooted_tree_isomorphism(labels, children, a, b).items():
                 perm[x] = y
         return Automorphism(g, tuple(perm))
 

@@ -49,7 +49,7 @@ def build_periodic_unicyclic(n: int, k: int,
                              specs: list[RootedTreeSpec]) -> tuple[Graph, Automorphism]:
     """Attach a k-periodic sequence of rooted trees around an n-cycle.
 
-    Requires n > 2, k | n, k < n and exactly k tree specs.  Cycle
+    Requires n > 2, 1 <= k < n, k | n and exactly k tree specs.  Cycle
     vertices are labeled 0..n-1; tree copies follow in cycle order, each
     copy in spec order, with the copy's root identified with its cycle
     vertex.  Returns the graph together with the rotation by k, which is
@@ -57,8 +57,8 @@ def build_periodic_unicyclic(n: int, k: int,
     """
     if n <= 2:
         raise ValueError(f"cycle length must exceed 2, got {n}")
-    if k >= n:
-        raise ValueError(f"period {k} must be smaller than cycle length {n}")
+    if not 1 <= k < n:
+        raise ValueError(f"period {k} must be at least 1 and smaller than cycle length {n}")
     if n % k != 0:
         raise ValueError(f"period {k} does not divide cycle length {n}")
     if len(specs) != k:

@@ -113,10 +113,15 @@ def _reachable_all(n: int, masks: list[int]) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0."""
-    if g.n == 1:
-        return True
-    return _reachable_all(g.n, g.adjacency_masks())
+    """True iff a breadth-first search from vertex 0 reaches every vertex."""
+    seen = [True] + [False] * (g.n - 1)
+    queue = [0]
+    for x in queue:
+        for y in g._adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+    return len(queue) == g.n
 
 
 def require_connected(g: Graph) -> None:

@@ -258,3 +258,18 @@ def reference_periodicity(g: Graph) -> tuple[bool, int | None]:
     m = len(word)
     shift = next(s for s in range(1, m + 1) if word[s:] + word[:s] == word)
     return (True, shift) if shift < m else (False, None)
+
+
+def colour_refinement_classes(g: Graph) -> int:
+    """Number of vertex classes once colour refinement (1-dimensional
+    Weisfeiler-Leman, from uniform colours) is stable.  When it is g.n,
+    every automorphism fixes every vertex, so g is rigid."""
+    colour = [0] * g.n
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in g.neighbors(v))))
+               for v in range(g.n)]
+        ids = {s: i for i, s in enumerate(sorted(set(sig)))}
+        refined = [ids[s] for s in sig]
+        if len(ids) == len(set(colour)):
+            return len(ids)
+        colour = refined

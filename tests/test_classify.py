@@ -1,12 +1,20 @@
+import random
+
 import pytest
 
+from helpers import colour_refinement_classes
 from homrep import (
     Automorphism,
     DisconnectedGraphError,
     Graph,
+    RootedTreeSpec,
+    Verdict,
+    _kernels,
+    build_periodic_unicyclic,
     block_decomposition,
     classify,
     classify_fast_2edge,
+    has_nontrivial_automorphism,
     is_periodic_unicyclic,
     named_family,
     pendant_trees,
@@ -20,10 +28,31 @@ TRIANGLE_WITH_CHERRY = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5)]
 
 
 def decorated_square():
-    from homrep import RootedTreeSpec, build_periodic_unicyclic
     g, _ = build_periodic_unicyclic(
         4, 2, [RootedTreeSpec((-1, 0)), RootedTreeSpec((-1, 0, 1))])
     return g
+
+
+def rigid_binary_tree(depth):
+    """The complete binary tree of the given depth in BFS labels, with a
+    pendant path of i more vertices at leaf i (left to right): rigid, and
+    the permutation search backtracks for minutes on it at depth 5."""
+    n = 2 ** (depth + 1) - 1
+    edges = [((v - 1) // 2, v) for v in range(1, n)]
+    for i, leaf in enumerate(range(2 ** depth - 1, 2 ** (depth + 1) - 1)):
+        prev = leaf
+        for _ in range(i):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph(n, edges)
+
+
+def random_tree(rng, n, near_path):
+    """A uniformly grown random tree, or a path with one to three extra
+    vertices hung off random earlier vertices, which is often rigid."""
+    spine = n - rng.randrange(1, 4) if near_path else 1
+    parents = [v - 1 for v in range(1, spine)] + [rng.randrange(v) for v in range(spine, n)]
+    return Graph(n, [(p, v) for v, p in enumerate(parents, start=1)])
 
 
 class TestClassify:
@@ -157,3 +186,58 @@ class TestWitness:
         assert all(w.perm[x] == x for x in (0, 1, 2, 3))
         kernel = {f.perm for f in representation(g).kernel}
         assert w.perm in kernel
+
+
+class TestNoSearch:
+    def test_classify_and_witness_never_search(self, monkeypatch, corpus5):
+        def refuse(*args):
+            raise AssertionError("automorphism search called")
+        monkeypatch.setattr(_kernels, "search_automorphisms", refuse)
+        rigid = rigid_binary_tree(5)
+        cycle, _ = build_periodic_unicyclic(
+            12, 3, [RootedTreeSpec((-1, 0)), RootedTreeSpec((-1,)),
+                    RootedTreeSpec((-1, 0, 1))])
+        graphs = corpus5 + [named_family("path", 1500), named_family("star", 2000),
+                            rigid, cycle]
+        for g in graphs:
+            v = classify(g)
+            w = witness_kernel_element(g, v)
+            assert (w is None) == v.faithful
+        assert rigid.n == 559 and classify(rigid).faithful
+        assert colour_refinement_classes(rigid) == rigid.n
+        assert classify(cycle).period == 3
+
+
+class TestRandomTrees:
+    def test_agree_with_search(self):
+        # beyond the n <= 6 corpus: 200 seeded trees of 20-200 vertices
+        rng = random.Random(20240)
+        rigid = 0
+        for i in range(200):
+            t = random_tree(rng, rng.randrange(20, 201), near_path=i % 2 == 0)
+            v = classify(t)
+            assert v.faithful == (not has_nontrivial_automorphism(t))
+            rigid += v.faithful
+            if not v.faithful:
+                w = witness_kernel_element(t, v)
+                assert isinstance(w, Automorphism) and not w.is_identity()
+        assert rigid > 0
+
+
+class TestWitnessRejectsFalseVerdicts:
+    @pytest.mark.parametrize("g, verdict", [
+        (Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]),
+         Verdict(False, "TreeWithSymmetry")),                   # rigid tree
+        (named_family("cycle", 4), Verdict(False, "TreeWithSymmetry")),
+        (TRIANGLE_WITH_CHERRY, Verdict(False, "SymmetricPendantTree", root=1)),
+        (Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)]),
+         Verdict(False, "SymmetricPendantTree", root=0)),      # rigid pendant
+        (decorated_square(), Verdict(False, "PeriodicUnicyclic", period=1)),
+        (decorated_square(), Verdict(False, "PeriodicUnicyclic", period=4)),
+        (decorated_square(), Verdict(False, "PeriodicUnicyclic", period=0)),
+        (named_family("complete", 4), Verdict(False, "PeriodicUnicyclic", period=1)),
+    ], ids=["rigid-tree", "cycle-as-tree", "no-pendant-tree", "rigid-pendant-tree",
+            "wrong-period", "full-turn", "period-0", "not-unicyclic"])
+    def test_value_error(self, g, verdict):
+        with pytest.raises(ValueError):
+            witness_kernel_element(g, verdict)

@@ -248,6 +248,12 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "3", "3", "[-1]", "[-1]", "[-1]")
         assert code == 2 and "smaller" in err
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_nonpositive_period_exit_2(self, capsys, k):
+        code, out, err = run_cli(capsys, "gen", "4", k, "[-1]")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "at least 1" in err
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "6", "1", "[-1]", "--json")
         data = json.loads(out)

@@ -73,6 +73,8 @@ class TestBuildPeriodicUnicyclic:
         (2, 1, 1),   # cycle too short
         (4, 3, 2),   # 3 does not divide 4
         (3, 3, 3),   # k must be smaller than n
+        (4, 0, 1),   # k must be at least 1
+        (4, -2, 1),
         (6, 2, 1),   # wrong spec count
     ])
     def test_constraint_errors(self, n, k, count):

@@ -2,15 +2,19 @@ import pytest
 
 from homrep import (
     Dart,
+    DisconnectedGraphError,
     Graph,
     GraphParseError,
+    betti,
     enumerate_connected_graphs,
     format_edge_list,
     is_connected,
+    named_family,
     parse_edge_list,
     parse_graph6,
     to_graph6,
 )
+from homrep.graphs import require_connected
 from helpers import reference_graph6_decode, reference_graph6_encode
 
 
@@ -150,6 +154,24 @@ class TestConnectivity:
 
     def test_isolated_vertex_via_header(self):
         assert not is_connected(parse_edge_list("n 3\n0 1"))
+
+    def test_no_bitmasks(self, monkeypatch):
+        # a breadth-first search over the neighbour lists: n-bit masks
+        # would cost quadratic time and memory on long paths
+        def refuse(self):
+            raise AssertionError("adjacency masks built")
+        monkeypatch.setattr(Graph, "adjacency_masks", refuse)
+        for g in (named_family("path", 3000), named_family("cycle", 5),
+                  named_family("star", 4), Graph(1, [])):
+            assert is_connected(g)
+            require_connected(g)
+            assert betti(g) == g.num_edges - g.n + 1
+        for g in (Graph(4, [(0, 1), (2, 3)]), parse_edge_list("n 3\n0 1")):
+            assert not is_connected(g)
+            with pytest.raises(DisconnectedGraphError):
+                require_connected(g)
+            with pytest.raises(DisconnectedGraphError):
+                betti(g)
 
 
 class TestEnumeration:
