@@ -35,6 +35,16 @@ class Automorphism:
                 raise ValueError(
                     f"permutation does not preserve adjacency on edge ({u}, {v})")
 
+    @classmethod
+    def _searched(cls, graph: Graph, perm: tuple[int, ...]) -> "Automorphism":
+        """Wrap a permutation from the automorphism search without the
+        edge-by-edge check: the search admits only adjacency-preserving
+        permutations."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "graph", graph)
+        object.__setattr__(f, "perm", perm)
+        return f
+
     def __call__(self, v: int) -> int:
         return self.perm[v]
 
@@ -90,7 +100,7 @@ def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[Automorphism]:
     pruning.  Identity first, remainder in lexicographic order of the
     permutation; the result length is the group order.
     """
-    return [Automorphism(g, p) for p in automorphism_perms(g, cap)]
+    return [Automorphism._searched(g, p) for p in automorphism_perms(g, cap)]
 
 
 def has_nontrivial_automorphism(g: Graph) -> bool:

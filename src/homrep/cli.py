@@ -75,10 +75,77 @@ def _load_graph(args) -> Graph:
     return parse_graph6(args.g6)
 
 
+# CPython's C encoder serves only indent=None, and json.dump(indent=2)
+# spends most of a `rep --json` run formatting integers in Python.  The
+# emitter below writes the same bytes: keys and scalars other than ints
+# go through the stdlib encoder, and a list of plain ints is joined in
+# one call.
+_scalar = json.JSONEncoder().encode
+_INDENT = "  "
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _scalar(k)
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return '"' + _scalar(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _encode(o, nl: str) -> str:
+    """json.dumps(o, indent=2) for a value whose line starts at nl."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + _INDENT
+        if set(map(type, o)) == {int}:
+            items = map(str, o)
+        else:
+            items = [_encode(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + _INDENT
+        return "{" + inner + ("," + inner).join(
+            [_key(k) + ": " + _encode(v, inner) for k, v in o.items()]) + nl + "}"
+    if type(o) is int:
+        return str(o)
+    return _scalar(o)
+
+
 def _print_json(obj) -> None:
-    """Indented JSON and a newline, streamed to stdout chunk by chunk."""
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Exactly json.dump(obj, sys.stdout, indent=2) and a newline.
+
+    The top-level object and the containers directly inside it are
+    written one element at a time, so a large report is never held as
+    one string.
+    """
+    write = sys.stdout.write
+
+    def emit(o, nl: str, depth: int) -> None:
+        inner = nl + _INDENT
+        sep = inner
+        if depth and o and isinstance(o, dict):
+            write("{")
+            for k, v in o.items():
+                write(sep + _key(k) + ": ")
+                emit(v, inner, depth - 1)
+                sep = "," + inner
+            write(nl + "}")
+        elif depth and o and isinstance(o, (list, tuple)) and set(map(type, o)) != {int}:
+            write("[")
+            for x in o:
+                write(sep)
+                emit(x, inner, depth - 1)
+                sep = "," + inner
+            write(nl + "]")
+        else:
+            write(_encode(o, nl))
+
+    emit(obj, "\n", 2)
+    write("\n")
 
 
 def _basis(args, g: Graph):

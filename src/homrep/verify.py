@@ -4,9 +4,10 @@ Walks every labeled connected graph up to a vertex bound and checks, per
 graph: the structural verdict against the brute-force kernel, the
 homomorphism and unimodularity of the matrix action, independence of the
 kernel from the spanning tree, the structural properties of kernel
-elements, the degree-two shortcut, mod-p kernels, and the canonical-form
-detectors against permutation search.  One pass computes everything;
-both the CLI verifier and the acceptance suite run through here.
+elements, the degree-two shortcut, mod-p kernels, the structure of the
+mod-2 kernel, and the canonical-form detectors against permutation
+search.  One pass computes everything; both the CLI verifier and the
+acceptance suite run through here.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ CRITERIA = (
     "kernel_structure",     # kernel elements fix cycles/blocks/2ec subgraphs
     "min_degree_two",       # no leaves => trivial kernel unless a simple cycle
     "mod_p",                # mod-3 kernel equals the integer kernel
+    "mod2_kernel",          # kernel <= mod-2 kernel, index a power of 2, involutions
     "periodicity_oracle",   # rotation detector vs permutation search
     "rigidity_oracle",      # pendant-tree rigidity vs permutation search
     "fast_path",            # degree-two shortcut agrees with the classifier
@@ -389,7 +391,22 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
                "mod-3 kernel differs from the integer kernel")
     if run.stopped:
         return
+    # torsion in the level-2 congruence subgroup has order at most 2
+    # (Minkowski), so ker2 / ker is an elementary abelian 2-group
     kernel2 = {p for p in perms if _is_kernel_perm(p, b, 2)}
+    index, rest = divmod(len(kernel2), len(kernel))
+    if not kernel2 >= kernel_set:
+        ok, detail = False, "integer kernel is not inside the mod-2 kernel"
+    elif rest or index & (index - 1):
+        ok, detail = False, (f"mod-2 kernel index {len(kernel2)}/{len(kernel)} "
+                             "is not a power of 2")
+    else:
+        # kernel elements have the identity matrix, so only the excess is squared
+        ok = all((mats[p] @ mats[p]).is_identity() for p in kernel2 - kernel_set)
+        detail = "a mod-2 kernel element does not square to the identity"
+    run.record("mod2_kernel", ok, g, detail)
+    if run.stopped:
+        return
     if kernel2 > kernel_set:
         s.mod2_extra_count += 1
         if len(s.mod2_extra_examples) < MOD2_REPRODUCER_LIMIT:

@@ -138,6 +138,17 @@ def test_criterion_7_mod_p_kernels(summary):
     assert r.violations == 0, r.first_detail
 
 
+def test_criterion_7_mod2_kernel_structure(summary):
+    # the excess itself is only reported; its shape is a theorem: torsion
+    # in the level-2 congruence subgroup has order at most 2 (Minkowski)
+    r = _criterion(summary, "mod2_kernel")
+    report("criterion 7: mod-2 kernel contains the integer kernel with "
+           "power-of-2 index, and every element acts as an involution",
+           r.violations == 0, f"{r.checked} graphs")
+    assert r.checked == summary.graphs_total
+    assert r.violations == 0, r.first_detail
+
+
 def test_criterion_8_reference_quantities():
     ok = True
     for n in range(4, 9):

@@ -16,7 +16,9 @@ from homrep import (
     identity_automorphism,
     image_cycle,
     named_family,
+    representation,
     spanning_tree_basis,
+    witness_kernel_element,
 )
 from homrep._kernels import search_automorphisms
 from helpers import brute_force_automorphisms
@@ -48,6 +50,43 @@ class TestAutomorphismType:
         rot = Automorphism(c4, (1, 2, 3, 0))
         assert rot.order() == 4
         assert compose(rot, rot.inverse()) == identity_automorphism(c4)
+
+
+class TestSearchedAutomorphisms:
+    def test_search_output_is_not_rechecked(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a searched automorphism was checked again")
+
+        monkeypatch.setattr(Automorphism, "__post_init__", refuse)
+        k5 = named_family("complete", 5)
+        auts = automorphisms(k5)
+        assert len(auts) == 120 and auts[0].perm == (0, 1, 2, 3, 4)
+        assert len(representation(k5).matrices) == 120
+
+    def test_equal_to_validated_automorphisms(self):
+        c5 = named_family("cycle", 5)
+        for f in automorphisms(c5):
+            checked = Automorphism(c5, f.perm)
+            assert f == checked and hash(f) == hash(checked) and f.graph is c5
+
+    def test_public_routes_still_validate(self, monkeypatch):
+        checked = []
+        post_init = Automorphism.__post_init__
+
+        def counting(self):
+            checked.append(self.perm)
+            post_init(self)
+
+        monkeypatch.setattr(Automorphism, "__post_init__", counting)
+        c4 = named_family("cycle", 4)
+        rot = automorphisms(c4)[1]
+        assert checked == []
+        rot.inverse()
+        compose(rot, rot)
+        witness_kernel_element(named_family("path", 3))
+        assert len(checked) == 3
+        with pytest.raises(ValueError):
+            Automorphism(c4, (0, 2, 1, 3))
 
 
 class TestEnumeration:

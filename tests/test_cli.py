@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homrep
+import homrep.cli
+import homrep.rep
 from homrep import parse_edge_list
 from homrep.cli import main
 
@@ -141,11 +146,6 @@ class TestRep:
         from homrep import named_family
         assert parse_edge_list(text) == named_family("bowtie", 5)
 
-    def test_json_is_indented_with_one_trailing_newline(self, capsys):
-        code, out, _ = run_cli(capsys, "rep", "--family", "bowtie", "5", "--json")
-        assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
-
 
 class TestClassify:
     def test_faithful_exit_0(self, capsys):
@@ -223,6 +223,30 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
         assert code == 5 and "DISAGREEMENT FOUND" in out
 
+    @pytest.mark.parametrize("mod2_kernel, detail", [
+        (lambda perm, b: False, "integer kernel is not inside the mod-2 kernel"),
+        (lambda perm, b: True, "is not a power of 2"),  # the triangle: index 6
+        # K4 with the rotations of 0-1-2-3 added: index 4, but they have order 4
+        (lambda perm, b: (homrep.rep._is_kernel_perm(perm, b) or b.graph.num_edges == 6
+                          and perm in {(1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)}),
+         "does not square to the identity"),
+    ], ids=["not-inside", "index", "involution"])
+    def test_mod2_kernel_criterion_catches_a_wrong_kernel(self, monkeypatch, mod2_kernel,
+                                                           detail):
+        import homrep.verify
+
+        is_kernel = homrep.rep._is_kernel_perm
+
+        def wrong_mod_2(perm, b, p=None):
+            return mod2_kernel(perm, b) if p == 2 else is_kernel(perm, b, p)
+
+        monkeypatch.setattr(homrep.verify, "_is_kernel_perm", wrong_mod_2)
+        summary = homrep.verify_corpus(4)
+        r = summary.criteria["mod2_kernel"]
+        assert r.violations > 0 and detail in r.first_detail
+        assert all(c.violations == 0 for name, c in summary.criteria.items()
+                   if name != "mod2_kernel")
+
     def test_seed_flag_parsed(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "3",
                                "--seeds", "2,4", "--json")
@@ -259,6 +283,68 @@ class TestGen:
         data = json.loads(out)
         assert code == 0
         assert data["order"] == 6 and data["rho"] == [1, 2, 3, 4, 5, 0]
+
+
+# keys json accepts, and every kind of value the emitter must render
+# exactly as json.dumps(indent=2) does: bools and ints are kept apart,
+# floats include nan and +/-inf, strings run beyond ASCII
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(JSON_KEYS, inner),
+        st.lists(st.integers()), st.lists(st.one_of(st.integers(), st.booleans()))),
+    max_leaves=30)
+
+
+def print_json_output(obj) -> str:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        homrep.cli._print_json(obj)
+    return sink.getvalue()
+
+
+class TestJson:
+    @pytest.mark.parametrize("argv", [
+        ("rep", "--family", "bowtie", "5", "--json"),
+        ("rep", "--family", "complete", "4", "--mod-p", "3", "--json"),
+        ("rep", "--family", "cycle", "5", "--kernel-only", "--json"),
+        ("info", "--family", "bowtie", "5", "--json"),
+        ("classify", "--family", "cycle", "6", "--json"),
+        ("verify", "--n-max", "3", "--json"),  # int keys under "graphs"
+        ("gen", "4", "2", "[-1,0]", "[-1,0,1]", "--json"),
+    ], ids=["rep", "rep-mod-p", "rep-kernel-only", "info", "classify", "verify", "gen"])
+    def test_json_is_indented_with_one_trailing_newline(self, capsys, monkeypatch, argv):
+        printed = []
+
+        def recording(obj):
+            printed.append(obj)
+            emit(obj)
+
+        emit = homrep.cli._print_json
+        monkeypatch.setattr(homrep.cli, "_print_json", recording)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 3) and len(printed) == 1
+        assert out == json.dumps(printed[0], indent=2) + "\n"
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_emitter_matches_stdlib(self, obj):
+        assert print_json_output(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": []}, [[], {}], {2: 2, True: 3, False: 5, None: 4, 1.5: [1, True]},
+        {"\u00e9\u6f22\U0001f600": ["\n\"", float("nan"), float("inf"), -float("inf")]},
+        [-1, 0, 2 ** 70], [True, False, 1], (1, (2, 3)), 7, "s", None, 0.1,
+    ])
+    def test_emitter_edge_cases(self, obj):
+        assert print_json_output(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_emitter_rejects_bad_keys_like_json(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            print_json_output({(1, 2): 3})
 
 
 def test_module_entry_point():
