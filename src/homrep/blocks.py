@@ -425,6 +425,7 @@ def rooted_tree_isomorphism(labels: dict[int, int], children: dict[int, list[int
             stack.append((cx, cy))
     return mapping
 
+
 def unique_cycle(g: Graph) -> OrientedCycle:
     """The unique simple cycle of a graph with exactly one independent cycle.
 
@@ -438,6 +439,41 @@ def unique_cycle(g: Graph) -> OrientedCycle:
     return cycle
 
 
+def _symmetric_labels(table: dict) -> list[bool]:
+    """For each label of an AHU table (see _subtree_labels), whether its
+    rooted tree has a nontrivial root-fixing automorphism, that is, some
+    vertex of it has two children with equal labels."""
+    symmetric: list[bool] = []
+    # keys are created children first, so each child's flag is ready
+    for key in table:
+        symmetric.append(len(set(key)) < len(key) or any(symmetric[c] for c in key))
+    return symmetric
+
+
+def _hanging_word(g: Graph) -> tuple[tuple[int, ...], list[int], dict] | None:
+    """The unique cycle's vertices, the cyclic word of AHU labels of the
+    trees hanging from them, and the label table; None unless beta = 1.
+
+    One breadth-first search from all cycle vertices labels the whole
+    forest, so the tree hanging from a cycle vertex is its pendant tree,
+    or the bare vertex, which has the leaf label.
+    """
+    cycle = _structure(g).cycle
+    if cycle is None:
+        return None
+    verts = cycle.vertices()
+    table: dict = {}
+    labels, _ = _subtree_labels([g.neighbors(x) for x in range(g.n)], verts, table)
+    return verts, [labels[v] for v in verts], table
+
+
+def _minimal_period(word: list[int]) -> int:
+    """The least k dividing len(word) such that rotating by k fixes word."""
+    m = len(word)
+    return next(k for k in range(1, m + 1)
+                if m % k == 0 and all(word[j] == word[(j + k) % m] for j in range(m)))
+
+
 def is_periodic_unicyclic(g: Graph) -> tuple[bool, int | None]:
     """Detect a nontrivial rotation of the unique cycle.
 
@@ -448,13 +484,9 @@ def is_periodic_unicyclic(g: Graph) -> tuple[bool, int | None]:
     a nontrivial rotation iff this cyclic word has minimal period
     k < cycle length, and then (True, k) is returned.
     """
-    cycle = _structure(g).cycle
-    if cycle is None:
+    hanging = _hanging_word(g)
+    if hanging is None:
         return (False, None)
-    verts = cycle.vertices()
-    labels, _ = _subtree_labels([g.neighbors(x) for x in range(g.n)], verts, {})
-    word = [labels[v] for v in verts]
-    m = len(word)
-    k = next(k for k in range(1, m + 1)
-             if m % k == 0 and all(word[j] == word[(j + k) % m] for j in range(m)))
-    return (True, k) if k < m else (False, None)
+    word = hanging[1]
+    k = _minimal_period(word)
+    return (True, k) if k < len(word) else (False, None)

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from .autgroup import Automorphism
 from .blocks import (
     _equal_siblings,
+    _hanging_word,
+    _minimal_period,
     _subtree_labels,
+    _symmetric_labels,
     _tree_centre,
-    is_periodic_unicyclic,
     is_rigid_pendant_tree,
     is_simple_cycle_graph,
     pendant_trees,
@@ -67,20 +69,30 @@ def classify(g: Graph) -> Verdict:
     Checks, in order: tree with a nontrivial automorphism; a symmetric
     pendant tree (smallest root wins); a rotatable unique cycle.  When
     several conditions hold the first one in that order is reported.
+    A unicyclic graph's pendant trees all hang from its cycle, so one
+    labelling of that forest answers both of the last two checks.
     """
-    if betti(g) == 0:
+    beta = betti(g)
+    if beta == 0:
         # automorphisms fix the centre: symmetry means isomorphic siblings
         adj = [g.neighbors(v) for v in range(g.n)]
         roots = _tree_centre(adj)
         if _equal_siblings(roots, *_subtree_labels(adj, roots, {})) is not None:
             return Verdict(False, TREE_WITH_SYMMETRY)
         return Verdict(True, FAITHFUL)
+    if beta == 1:
+        verts, word, table = _hanging_word(g)
+        symmetric = _symmetric_labels(table)
+        roots = [v for v, label in zip(verts, word) if symmetric[label]]
+        if roots:
+            return Verdict(False, SYMMETRIC_PENDANT_TREE, root=min(roots))
+        k = _minimal_period(word)
+        if k < len(word):
+            return Verdict(False, PERIODIC_UNICYCLIC, period=k)
+        return Verdict(True, FAITHFUL)
     for s in pendant_trees(g):
         if not is_rigid_pendant_tree(s):
             return Verdict(False, SYMMETRIC_PENDANT_TREE, root=s.root)
-    periodic, k = is_periodic_unicyclic(g)
-    if periodic:
-        return Verdict(False, PERIODIC_UNICYCLIC, period=k)
     return Verdict(True, FAITHFUL)
 
 

@@ -78,8 +78,10 @@ class SpanningTreeBasis:
 
     def __init__(self, graph: Graph, tree_edges: Iterable[tuple[int, int]],
                  root: int = 0):
-        tree = frozenset((u, v) if u < v else (v, u) for u, v in tree_edges)
         n = graph.n
+        if type(root) is not int or not 0 <= root < n:
+            raise ValueError(f"root must be a vertex in range({n}), got {root!r}")
+        tree = frozenset((u, v) if u < v else (v, u) for u, v in tree_edges)
         if len(tree) != n - 1:
             raise ValueError(f"spanning tree needs {n - 1} edges, got {len(tree)}")
         for u, v in tree:
@@ -103,15 +105,34 @@ class SpanningTreeBasis:
         if len(queue) != n:
             raise ValueError("edge set is not a spanning tree (does not reach "
                              "every vertex)")
+        self._adopt(graph, root, parent, depth)
+
+    @classmethod
+    def _from_parents(cls, graph: Graph, root: int, parent: Sequence[int],
+                      depth: Sequence[int]) -> "SpanningTreeBasis":
+        """The basis of the spanning tree of graph given by parent pointers
+        and depths from root (parent -1 at the root only), unchecked.
+
+        For the builders below, whose own traversal yields the tree;
+        every other caller goes through the validating constructor.
+        """
+        b = cls.__new__(cls)
+        b._adopt(graph, root, parent, depth)
+        return b
+
+    def _adopt(self, graph: Graph, root: int, parent: Sequence[int],
+               depth: Sequence[int]) -> None:
         self.graph = graph
         self.root = root
-        self.tree_edges = tree
         self.parent = tuple(parent)
         self.depth = tuple(depth)
-        self.cotree = tuple(Dart(u, v) for u, v in graph.edges if (u, v) not in tree)
+        self.tree_edges = frozenset((p, v) if p < v else (v, p)
+                                    for v, p in enumerate(parent) if p >= 0)
+        self.cotree = tuple(Dart(u, v) for u, v in graph.edges
+                            if parent[u] != v and parent[v] != u)
         self._cycles: tuple[OrientedCycle, ...] | None = None
         self._coord_index: dict[Dart, tuple[int, int]] | None = None
-        self._dart_table: dict[tuple[int, int], tuple[int, ...]] | None = None
+        self._dart_table: dict[int, tuple[int, ...]] | None = None
 
     @property
     def beta(self) -> int:
@@ -152,18 +173,38 @@ class SpanningTreeBasis:
             self._coord_index = index
         return self._coord_index
 
-    def cycle_dart_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Signed cycle-dart incidence, one row per dart (tail, head).
+    def cycle_dart_table(self) -> dict[int, tuple[int, ...]]:
+        """Signed cycle-dart incidence, one row per dart (tail, head),
+        keyed by the integer dart tail * n + head.
 
         Entry j of the row of dart d is +1 when the j-th fundamental
         cycle traverses d, -1 when it traverses d's inverse, 0 otherwise.
         """
         if self._dart_table is None:
-            rows = {d: [0] * self.beta for u, v in self.graph.edges for d in ((u, v), (v, u))}
+            n, beta = self.graph.n, len(self.cotree)
+            parent, depth = self.parent, self.depth
+            rows = {}
+            for u, v in self.graph.edges:
+                rows[u * n + v] = [0] * beta
+                rows[v * n + u] = [0] * beta
+            # cycle j: the co-tree dart (u, v), then the tree path from v
+            # up to the common ancestor with u and down again to u, walked
+            # from both ends, the deeper end first
             for j, (u, v) in enumerate(self.cotree):
-                for t, h in [(u, v)] + self.tree_path_darts(v, u):
-                    rows[t, h][j] = 1
-                    rows[h, t][j] = -1
+                rows[u * n + v][j] = 1
+                rows[v * n + u][j] = -1
+                a, b = v, u
+                while a != b:
+                    if depth[a] >= depth[b]:
+                        p = parent[a]
+                        rows[a * n + p][j] = 1
+                        rows[p * n + a][j] = -1
+                        a = p
+                    else:
+                        p = parent[b]
+                        rows[p * n + b][j] = 1
+                        rows[b * n + p][j] = -1
+                        b = p
             self._dart_table = {d: tuple(row) for d, row in rows.items()}
         return self._dart_table
 
@@ -191,19 +232,19 @@ def spanning_tree_basis(g: Graph) -> SpanningTreeBasis:
     Deterministic, so repeated runs (and golden outputs) agree.
     """
     n = g.n
-    seen = [False] * n
-    seen[0] = True
-    tree = []
+    parent = [-2] * n
+    depth = [0] * n
+    parent[0] = -1
     queue = [0]
     for x in queue:
         for y in g.neighbors(x):
-            if not seen[y]:
-                seen[y] = True
-                tree.append((x, y))
+            if parent[y] == -2:
+                parent[y] = x
+                depth[y] = depth[x] + 1
                 queue.append(y)
     if len(queue) != n:
         raise DisconnectedGraphError("graph is not connected")
-    return SpanningTreeBasis(g, tree, root=0)
+    return SpanningTreeBasis._from_parents(g, 0, parent, depth)
 
 
 def random_spanning_tree_basis(g: Graph, seed: int) -> SpanningTreeBasis:
@@ -211,24 +252,24 @@ def random_spanning_tree_basis(g: Graph, seed: int) -> SpanningTreeBasis:
     rng = random.Random(seed)
     n = g.n
     root = rng.randrange(n)
-    seen = [False] * n
-    tree = []
+    parent = [-2] * n
+    depth = [0] * n
     stack: list[tuple[int, int]] = [(root, -1)]
     while stack:
         x, came_from = stack.pop()
-        if seen[x]:
+        if parent[x] != -2:
             continue
-        seen[x] = True
+        parent[x] = came_from
         if came_from >= 0:
-            tree.append((came_from, x))
+            depth[x] = depth[came_from] + 1
         nbrs = list(g.neighbors(x))
         rng.shuffle(nbrs)
         for y in nbrs:
-            if not seen[y]:
+            if parent[y] == -2:
                 stack.append((y, x))
-    if len(tree) != n - 1:
+    if -2 in parent:
         raise DisconnectedGraphError("graph is not connected")
-    return SpanningTreeBasis(g, tree, root=root)
+    return SpanningTreeBasis._from_parents(g, root, parent, depth)
 
 
 def fundamental_cycle(b: SpanningTreeBasis, i: int) -> OrientedCycle:

@@ -7,9 +7,10 @@ Conventions (fixed once, used everywhere):
     f -> matrix a homomorphism under ordinary matrix product.
 
 The matrix is built row by row as a gather from the basis's cycle-dart
-table Z (`SpanningTreeBasis.cycle_dart_table`): entry (i, j) counts the
-signed traversals of the co-tree dart x_i by f(C_j), that is of the
-dart f^-1(x_i) by C_j, so row i of the matrix of f is Z[f^-1(x_i)].
+table Z (`SpanningTreeBasis.cycle_dart_table`), whose rows are keyed by
+the integer dart tail * n + head: entry (i, j) counts the signed
+traversals of the co-tree dart x_i by f(C_j), that is of the dart
+f^-1(x_i) by C_j, so row i of the matrix of f is Z[f^-1(x_i)].
 
 Every matrix has entries in {-1, 0, 1} and determinant +/-1; the kernel
 is the set of automorphisms mapped to the identity matrix.
@@ -27,9 +28,10 @@ from .matrices import IntMatrix, is_prime
 
 def _gather(perm: tuple[int, ...], b: SpanningTreeBasis) -> tuple[tuple[int, ...], ...]:
     """Rows of the matrix of an automorphism's permutation in basis b."""
-    inv = dict(zip(perm, range(len(perm))))
+    n = len(perm)
+    inv = dict(zip(perm, range(n)))
     table = b.cycle_dart_table()
-    return tuple(table[inv[u], inv[v]] for u, v in b.cotree)
+    return tuple(table[inv[u] * n + inv[v]] for u, v in b.cotree)
 
 
 def _is_kernel_perm(perm: tuple[int, ...], b: SpanningTreeBasis,

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from homrep import (
     RootedTreeSpec,
     Verdict,
     _kernels,
+    blocks,
     build_periodic_unicyclic,
     block_decomposition,
     classify,
@@ -206,6 +208,36 @@ class TestNoSearch:
         assert rigid.n == 559 and classify(rigid).faithful
         assert colour_refinement_classes(rigid) == rigid.n
         assert classify(cycle).period == 3
+
+
+class TestHangingTreesLabelledOnce:
+    @pytest.mark.parametrize("g, reason", [
+        (TRIANGLE_WITH_CHERRY, "SymmetricPendantTree"),
+        (decorated_square(), "PeriodicUnicyclic"),
+        (Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (1, 5)]), "Faithful"),
+        (Graph(2003, [(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(2, 2002)]),
+         "Faithful"),
+    ])
+    def test_one_labelling_per_unicyclic_classify(self, monkeypatch, g, reason):
+        calls = []
+        label = blocks._subtree_labels
+
+        def counting(*args):
+            calls.append(args[1])
+            return label(*args)
+        monkeypatch.setattr(blocks, "_subtree_labels", counting)
+        # the package's `classify` attribute is the function, not the module
+        monkeypatch.setattr(importlib.import_module("homrep.classify"),
+                            "_subtree_labels", counting)
+        assert classify(g).reason == reason
+        assert len(calls) == 1
+
+    def test_smallest_symmetric_root_wins(self):
+        # cherries hang from cycle vertices 3 and 1 of a square
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (4, 6), (1, 7)])
+        h = Graph(11, list(g.edges) + [(7, 8), (7, 9), (2, 10)])
+        assert classify(g) == Verdict(False, "SymmetricPendantTree", root=3)
+        assert classify(h) == Verdict(False, "SymmetricPendantTree", root=1)
 
 
 class TestRandomTrees:

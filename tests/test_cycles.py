@@ -7,6 +7,7 @@ from homrep import (
     DisconnectedGraphError,
     Graph,
     OrientedCycle,
+    SpanningTreeBasis,
     basis_from_tree,
     betti,
     cycle_coordinates,
@@ -197,3 +198,80 @@ class TestCorpusInvariants:
             for i in range(1, b.beta + 1):
                 c = fundamental_cycle(b, i)
                 assert len(c) >= 3
+
+
+def _petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, edges)
+
+
+def _all_bases(g):
+    """The canonical basis and the verifier's five seeded random ones."""
+    return [spanning_tree_basis(g)] + [random_spanning_tree_basis(g, s) for s in range(1, 6)]
+
+
+class TestRootValidation:
+    @pytest.mark.parametrize("root", [-1, 4, 2.0])
+    def test_rejects_a_root_outside_the_vertices(self, root):
+        c4 = named_family("cycle", 4)
+        with pytest.raises(ValueError, match="root"):
+            basis_from_tree(c4, [(0, 1), (1, 2), (2, 3)], root=root)
+        with pytest.raises(ValueError, match="root"):
+            SpanningTreeBasis(c4, [(0, 1), (1, 2), (2, 3)], root)
+
+    def test_accepts_every_vertex(self):
+        c4 = named_family("cycle", 4)
+        for root in range(4):
+            b = basis_from_tree(c4, [(0, 1), (1, 2), (2, 3)], root=root)
+            assert b.root == root and b.parent.count(-1) == 1
+
+
+class TestTrustedConstruction:
+    def test_builders_agree_with_the_validating_constructor(self, corpus5):
+        for g in corpus5:
+            for b in _all_bases(g):
+                v = SpanningTreeBasis(g, b.tree_edges, b.root)
+                assert (b.root, b.parent, b.depth, b.tree_edges, b.cotree) == \
+                    (v.root, v.parent, v.depth, v.tree_edges, v.cotree)
+                assert b.cycle_dart_table() == v.cycle_dart_table()
+
+    def test_table_is_the_signed_dart_count_of_the_fundamental_cycles(self, corpus5):
+        # oracle: the OrientedCycle route, independent of the parent walk
+        for g in corpus5:
+            n = g.n
+            for b in _all_bases(g):
+                want = {t * n + h: [0] * b.beta for u, v in g.edges
+                        for t, h in ((u, v), (v, u))}
+                for j, c in enumerate(b.fundamental_cycles()):
+                    for t, h in c.darts:
+                        want[t * n + h][j] += 1
+                        want[h * n + t][j] -= 1
+                assert b.cycle_dart_table() == {d: tuple(r) for d, r in want.items()}
+
+    @pytest.mark.parametrize("name, graph, trees", [
+        ("K4", named_family("complete", 4), [
+            (1, [(0, 2), (0, 3), (1, 3)]),
+            (0, [(0, 1), (1, 2), (2, 3)]),
+            (1, [(0, 2), (1, 3), (2, 3)]),
+            (1, [(0, 3), (1, 2), (2, 3)]),
+            (2, [(0, 1), (0, 3), (2, 3)])]),
+        ("K5", named_family("complete", 5), [
+            (1, [(0, 1), (0, 4), (2, 3), (3, 4)]),
+            (0, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+            (1, [(0, 2), (0, 4), (1, 2), (3, 4)]),
+            (1, [(0, 2), (0, 4), (1, 3), (3, 4)]),
+            (4, [(0, 1), (0, 2), (1, 3), (2, 4)])]),
+        ("petersen", _petersen(), [
+            (2, [(0, 1), (0, 4), (1, 6), (2, 7), (3, 4), (4, 9), (5, 7), (5, 8), (6, 8)]),
+            (0, [(0, 1), (1, 2), (2, 7), (3, 4), (4, 9), (5, 7), (5, 8), (6, 8), (6, 9)]),
+            (3, [(0, 1), (0, 5), (1, 2), (2, 7), (3, 8), (4, 9), (5, 8), (6, 9), (7, 9)]),
+            (3, [(0, 1), (0, 5), (1, 6), (2, 7), (3, 4), (4, 9), (5, 7), (5, 8), (6, 9)]),
+            (9, [(0, 4), (1, 2), (1, 6), (2, 7), (3, 4), (3, 8), (5, 7), (5, 8), (6, 9)])]),
+    ])
+    def test_random_trees_are_pinned(self, name, graph, trees):
+        # `rep --tree rand --seed S` prints matrices in these bases
+        for seed, (root, edges) in enumerate(trees, start=1):
+            b = random_spanning_tree_basis(graph, seed)
+            assert (b.root, sorted(b.tree_edges)) == (root, edges)

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from homrep import (
     Automorphism,
     IntMatrix,
+    SpanningTreeBasis,
     automorphisms,
     change_of_basis,
     compose,
@@ -17,8 +19,10 @@ from homrep import (
     random_spanning_tree_basis,
     representation,
     spanning_tree_basis,
+    verify_corpus,
 )
 from helpers import laplace_determinant, signed_incidence_matrix
+from homrep.verify import DEFAULT_SEEDS
 
 
 def _bases(g):
@@ -246,3 +250,43 @@ class TestModP:
     def test_rejects_composite_p(self, k4):
         with pytest.raises(ValueError):
             kernel_mod_p(k4, p=6)
+
+
+class TestTableBuilds:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Bases made and table builds per basis (kept alive, so ids stay unique)."""
+        made, builds, reads = [], {}, {}
+        adopt, table = SpanningTreeBasis._adopt, SpanningTreeBasis.cycle_dart_table
+
+        def counting_adopt(self, *args):
+            made.append(self)
+            adopt(self, *args)
+
+        def counting_table(self):
+            reads[id(self)] = reads.get(id(self), 0) + 1
+            if self._dart_table is None:
+                builds[id(self)] = builds.get(id(self), 0) + 1
+            return table(self)
+
+        monkeypatch.setattr(SpanningTreeBasis, "_adopt", counting_adopt)
+        monkeypatch.setattr(SpanningTreeBasis, "cycle_dart_table", counting_table)
+        return made, builds, reads
+
+    def test_one_build_serves_every_gather(self, counts, k4):
+        made, builds, reads = counts
+        b = spanning_tree_basis(k4)
+        representation(k4, b)
+        kernel_mod_p(k4, b, 3)
+        assert reads[id(b)] == 2 * 24 and builds == {id(b): 1}
+
+    @pytest.mark.parametrize("seeds", [DEFAULT_SEEDS, (7, 8)])
+    def test_verifier_builds_one_basis_per_tree(self, counts, seeds):
+        made, builds, reads = counts
+        summary = verify_corpus(4, seeds=seeds)
+        assert summary.ok
+        per_graph = Counter(b.graph for b in made)
+        assert len(per_graph) == summary.graphs_total
+        assert set(per_graph.values()) == {1 + len(seeds)}
+        assert set(builds.values()) == {1}
+        assert sum(reads.values()) > len(builds)
