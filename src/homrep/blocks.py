@@ -2,20 +2,20 @@
 
 One structure pass per graph, memoised on the immutable Graph, computes
 blocks (maximal 2-connected subgraphs), cutvertices and bridges,
-2-edge-connected components, pendant trees hanging off nontrivial blocks
-and the unique cycle; the public functions read it.  Also here: the
-bipartite block tree and the tree centre, and integer AHU labels for
-rooted trees, which answer every rooted-tree question: canonical codes,
-rigidity, explicit isomorphisms, and detection of unicyclic graphs whose
-unique cycle admits a nontrivial rotation, where the tree hanging from a
-cycle vertex is its pendant tree, or the bare vertex, whose label is the
-leaf label.
+2-edge-connected components, the unique cycle, and the forest that
+hangs from the roots left by peeling leaves: a tree's centre, or any
+other graph's 2-core.  That forest is labelled once with integer AHU
+labels, and its labels answer the rooted-tree questions: pendant trees
+and their rigidity, and detection of unicyclic graphs whose unique cycle
+admits a nontrivial rotation, where the tree hanging from a cycle vertex
+is its pendant tree, or the bare vertex, whose label is the leaf label.
+Also here: the bipartite block tree, canonical codes and explicit
+isomorphisms of rooted trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .cycles import OrientedCycle
 from .errors import DisconnectedGraphError
@@ -161,31 +161,35 @@ def block_tree(d: BlockDecomposition) -> BlockTree:
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
-    centre = _tree_centre(adj)
+    centre = _peel(adj)
     if len(centre) != 1:
         raise RuntimeError(
             f"block tree centre is not a single node: {sorted(centre)}")
     return BlockTree(tuple(nodes), tuple(edges), centre[0])
 
 
-def _tree_centre(adj) -> list[int]:
-    """The centre of the tree with neighbour lists adj on 0..len(adj)-1:
-    the one or two nodes left by iterated leaf removal."""
+def _peel(adj) -> list[int]:
+    """The nodes left when leaves are peeled, a layer at a time, while
+    more than two nodes remain, of the connected graph with neighbour
+    lists adj on 0..len(adj)-1: a tree's centre (one or two nodes), or
+    any other graph's 2-core in increasing order."""
     # a node joins the next layer when its degree drops to one; peeled
     # nodes only drop further, so they never rejoin
     deg = [len(a) for a in adj]
-    leaves = [i for i in range(len(adj)) if deg[i] <= 1]
+    layer = [i for i in range(len(adj)) if deg[i] <= 1]
     remaining = len(adj)
-    while remaining > 2 and leaves:
-        remaining -= len(leaves)
-        next_leaves = []
-        for leaf in leaves:
+    while remaining > 2 and layer:
+        remaining -= len(layer)
+        next_layer = []
+        for leaf in layer:
             for other in adj[leaf]:
                 deg[other] -= 1
                 if deg[other] == 1:
-                    next_leaves.append(other)
-        leaves = next_leaves
-    return leaves
+                    next_layer.append(other)
+        layer = next_layer
+    # a tree stops at its centre; any other graph runs out of leaves, and
+    # the nodes of degree two or more are then its 2-core
+    return layer or [i for i in range(len(adj)) if deg[i] >= 2]
 
 
 def is_simple_cycle_graph(g: Graph) -> bool:
@@ -196,11 +200,11 @@ def is_simple_cycle_graph(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class PendantTree:
-    """The maximal acyclic subgraph hanging off a root cutvertex.
+    """The tree hanging from a root on the 2-core.
 
-    The root lies in at least one nontrivial block and at least one
-    bridge; the hanging part is the union of the acyclic components of
-    g - root attached to the root by exactly one edge.
+    The root survives iterated leaf deletion; the hanging part is the
+    union of the acyclic components of g - root attached to the root by
+    exactly one edge, that is, the root's descendants off the 2-core.
     """
 
     root: int
@@ -219,22 +223,38 @@ class PendantTree:
 
 @dataclass(frozen=True)
 class _Structure:
-    """Everything the structure pass computes for one connected graph."""
+    """Everything the structure pass computes for one connected graph.
+
+    roots are what _peel leaves: the centre of a tree, else the 2-core,
+    in the unique cycle's order when beta = 1.  labels and children
+    label the forest hanging from them (see _subtree_labels), and
+    symmetric[label] tells whether that label's rooted tree has a
+    nontrivial root-fixing automorphism (see _symmetric_labels).
+    """
 
     blocks: BlockDecomposition
     two_edge_components: tuple[frozenset[int], ...]
+    roots: tuple[int, ...]
+    labels: dict[int, int]
+    children: dict[int, list[int]]
+    symmetric: list[bool]
     pendant_trees: tuple[PendantTree, ...]
     cycle: OrientedCycle | None  # the unique cycle when beta = 1
 
+    def is_symmetric(self, v: int) -> bool:
+        """Whether the tree hanging from v has a nontrivial automorphism
+        fixing v."""
+        return self.symmetric[self.labels[v]]
+
 
 def _structure_pass(g: Graph) -> _Structure:
-    """Blocks by the lowpoint DFS, then one pass over g without bridges.
+    """Blocks by the lowpoint DFS, one pass over g without bridges, then
+    the forest hanging from the roots that _peel leaves, labelled once.
 
-    A vertex is cyclic when it has a non-bridge edge.  A tree of the
-    forest left on the other vertices that meets the cyclic ones through
-    exactly one edge, to w, is a component of g - w; the pendant tree at
-    w is the union of those trees.  When beta = 1 the cyclic vertices
-    are the unique cycle."""
+    Off a tree, every vertex outside the 2-core has one path to it, so a
+    core vertex's descendants are the acyclic components of g - root
+    attached to it by one edge: its pendant tree.  When beta = 1 the
+    2-core is the unique cycle."""
     d = _lowpoint_blocks(g)
     n = g.n
     bridges = d.bridges
@@ -251,49 +271,44 @@ def _structure_pass(g: Graph) -> _Structure:
                     comp_of[y] = len(comps)
                     comp.append(y)
         comps.append(comp)
-    cyclic = [len(comps[c]) > 1 for c in comp_of]
 
-    hanging: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-    seen = cyclic[:]
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        verts = [start]
-        edges = []
-        roots = []
-        for x in verts:
-            for y in g.neighbors(x):
-                if cyclic[y]:
-                    roots.append(y)
-                elif seen[y]:
-                    continue
-                else:
-                    seen[y] = True
-                    verts.append(y)
-                edges.append((x, y) if x < y else (y, x))
-        if len(roots) == 1:
-            w = roots[0]
-            tree_verts, tree_edges = hanging.setdefault(w, ([w], []))
-            tree_verts.extend(verts)
-            tree_edges.extend(edges)
-
+    adj = g._adj
+    roots = _peel(adj)
     cycle = None
     if g.num_edges == n:
         # from the smallest cycle vertex toward its smaller cycle neighbor
-        m = sum(cyclic)
-        seq = [cyclic.index(True)]
-        seq.append(min(y for y in g.neighbors(seq[0]) if cyclic[y]))
-        while len(seq) < m:
-            seq.append(next(y for y in g.neighbors(seq[-1]) if cyclic[y] and y != seq[-2]))
+        on_cycle = [False] * n
+        for v in roots:
+            on_cycle[v] = True
+        seq = [roots[0], min(y for y in adj[roots[0]] if on_cycle[y])]
+        while len(seq) < len(roots):
+            seq.append(next(y for y in adj[seq[-1]] if on_cycle[y] and y != seq[-2]))
         cycle = OrientedCycle(list(zip(seq, seq[1:] + seq[:1])))
+        roots = seq
+    table: dict[tuple[int, ...], int] = {}
+    labels, children = _subtree_labels(adj, roots, table)
+
+    trees = []
+    if g.num_edges >= n:  # a tree's roots are its centre, not a 2-core
+        for w in sorted(roots):
+            if children[w]:
+                verts = [w]
+                edges = []
+                for x in verts:
+                    for c in children[x]:
+                        verts.append(c)
+                        edges.append((x, c) if x < c else (c, x))
+                trees.append(PendantTree(root=w, vertices=frozenset(verts),
+                                         edges=tuple(sorted(edges))))
 
     return _Structure(
         blocks=d,
         two_edge_components=tuple(frozenset(c) for c in comps),
-        pendant_trees=tuple(
-            PendantTree(root=w, vertices=frozenset(vs), edges=tuple(sorted(es)))
-            for w, (vs, es) in sorted(hanging.items())),
+        roots=tuple(roots),
+        labels=labels,
+        children=children,
+        symmetric=_symmetric_labels(table),
+        pendant_trees=tuple(trees),
         cycle=cycle)
 
 
@@ -319,9 +334,10 @@ def two_edge_connected_components(g: Graph) -> tuple[frozenset[int], ...]:
 def pendant_trees(g: Graph) -> tuple[PendantTree, ...]:
     """All pendant trees, in increasing root order.
 
-    A vertex roots a pendant tree when it lies in a nontrivial block and
-    in a bridge, and at least one component of g - root is acyclic and
-    attached to the root by exactly one edge.
+    A vertex roots a pendant tree when it lies on the 2-core (it survives
+    iterated leaf deletion) and at least one component of g - root is
+    acyclic and attached to the root by exactly one edge.  A tree has an
+    empty 2-core, and so no pendant tree.
     """
     return _structure(g).pendant_trees
 
@@ -354,19 +370,22 @@ def _subtree_labels(adj, roots, table: dict) -> tuple[dict[int, int], dict[int, 
 
 def _equal_siblings(roots, labels: dict[int, int],
                     children: dict[int, list[int]]) -> tuple[int, int] | None:
-    """The first two siblings with equal labels, or None when there are
-    none, i.e. the rooted tree is rigid.
+    """The first two siblings with equal labels, in breadth-first order
+    below the given roots of a labelled forest, or None when there are
+    none, i.e. the rooted trees are rigid.
 
     The roots count as siblings, children of a virtual root: a tree
     rooted at its bicentre u-v, with roots (u, v), is split there by a
     vertex that every automorphism fixes.
     """
-    for group in chain([roots], children.values()):
+    groups = [roots]
+    for group in groups:
         first: dict[int, int] = {}
         for c in group:
             if labels[c] in first:
                 return first[labels[c]], c
             first[labels[c]] = c
+        groups.extend(children[c] for c in group)
     return None
 
 
@@ -450,23 +469,6 @@ def _symmetric_labels(table: dict) -> list[bool]:
     return symmetric
 
 
-def _hanging_word(g: Graph) -> tuple[tuple[int, ...], list[int], dict] | None:
-    """The unique cycle's vertices, the cyclic word of AHU labels of the
-    trees hanging from them, and the label table; None unless beta = 1.
-
-    One breadth-first search from all cycle vertices labels the whole
-    forest, so the tree hanging from a cycle vertex is its pendant tree,
-    or the bare vertex, which has the leaf label.
-    """
-    cycle = _structure(g).cycle
-    if cycle is None:
-        return None
-    verts = cycle.vertices()
-    table: dict = {}
-    labels, _ = _subtree_labels([g.neighbors(x) for x in range(g.n)], verts, table)
-    return verts, [labels[v] for v in verts], table
-
-
 def _minimal_period(word: list[int]) -> int:
     """The least k dividing len(word) such that rotating by k fixes word."""
     m = len(word)
@@ -484,9 +486,9 @@ def is_periodic_unicyclic(g: Graph) -> tuple[bool, int | None]:
     a nontrivial rotation iff this cyclic word has minimal period
     k < cycle length, and then (True, k) is returned.
     """
-    hanging = _hanging_word(g)
-    if hanging is None:
+    s = _structure(g)
+    if s.cycle is None:
         return (False, None)
-    word = hanging[1]
+    word = [s.labels[v] for v in s.roots]
     k = _minimal_period(word)
     return (True, k) if k < len(word) else (False, None)

@@ -5,11 +5,12 @@ to be injective exactly when one of three structural conditions holds:
 the graph is a tree with symmetry, some pendant tree is symmetric, or
 the graph is unicyclic and its unique cycle admits a nontrivial
 rotation.  All three are rooted-tree questions, and the classifier and
-the witnesses answer them with integer AHU labels (blocks.py): a tree is
-rooted at its centre, a pendant tree at its root, and the trees hanging
-from the unique cycle at their cycle vertices.  No group search is ever
-performed, so classification stays near-linear while the brute-force
-oracle is exponential.
+the witnesses read the answers from one labelling per graph (blocks.py):
+the integer AHU labels of the forest hanging from a tree's centre, or
+from any other graph's 2-core, whose trees are the pendant trees and,
+on the unique cycle, the letters of the rotation word.  No group search
+is ever performed, so classification stays near-linear while the
+brute-force oracle is exponential.
 """
 
 from __future__ import annotations
@@ -19,14 +20,10 @@ from dataclasses import dataclass
 from .autgroup import Automorphism
 from .blocks import (
     _equal_siblings,
-    _hanging_word,
-    _minimal_period,
-    _subtree_labels,
-    _symmetric_labels,
-    _tree_centre,
-    is_rigid_pendant_tree,
+    _structure,
+    _Structure,
+    is_periodic_unicyclic,
     is_simple_cycle_graph,
-    pendant_trees,
     rooted_tree_isomorphism,
     unique_cycle,
 )
@@ -69,30 +66,22 @@ def classify(g: Graph) -> Verdict:
     Checks, in order: tree with a nontrivial automorphism; a symmetric
     pendant tree (smallest root wins); a rotatable unique cycle.  When
     several conditions hold the first one in that order is reported.
-    A unicyclic graph's pendant trees all hang from its cycle, so one
-    labelling of that forest answers both of the last two checks.
+    Off a tree, every pendant tree hangs from the 2-core, so the labels
+    of the forest hanging from it answer both of the last two checks.
     """
-    beta = betti(g)
-    if beta == 0:
+    s = _structure(g)
+    if betti(g) == 0:
         # automorphisms fix the centre: symmetry means isomorphic siblings
-        adj = [g.neighbors(v) for v in range(g.n)]
-        roots = _tree_centre(adj)
-        if _equal_siblings(roots, *_subtree_labels(adj, roots, {})) is not None:
+        roots = s.roots
+        if len({s.labels[r] for r in roots}) < len(roots) or any(map(s.is_symmetric, roots)):
             return Verdict(False, TREE_WITH_SYMMETRY)
         return Verdict(True, FAITHFUL)
-    if beta == 1:
-        verts, word, table = _hanging_word(g)
-        symmetric = _symmetric_labels(table)
-        roots = [v for v, label in zip(verts, word) if symmetric[label]]
-        if roots:
-            return Verdict(False, SYMMETRIC_PENDANT_TREE, root=min(roots))
-        k = _minimal_period(word)
-        if k < len(word):
-            return Verdict(False, PERIODIC_UNICYCLIC, period=k)
-        return Verdict(True, FAITHFUL)
-    for s in pendant_trees(g):
-        if not is_rigid_pendant_tree(s):
-            return Verdict(False, SYMMETRIC_PENDANT_TREE, root=s.root)
+    symmetric = [r for r in s.roots if s.is_symmetric(r)]
+    if symmetric:
+        return Verdict(False, SYMMETRIC_PENDANT_TREE, root=min(symmetric))
+    periodic, k = is_periodic_unicyclic(g)
+    if periodic:
+        return Verdict(False, PERIODIC_UNICYCLIC, period=k)
     return Verdict(True, FAITHFUL)
 
 
@@ -110,15 +99,15 @@ def classify_fast_2edge(g: Graph) -> Verdict | None:
     return Verdict(True, FAITHFUL)
 
 
-def _sibling_swap(g: Graph, adj, roots) -> Automorphism:
+def _sibling_swap(g: Graph, s: _Structure, roots) -> Automorphism:
     """Swap the first two siblings with equal labels, with their subtrees,
-    in the tree adj rooted at roots; every other vertex of g stays fixed."""
-    labels, children = _subtree_labels(adj, roots, {})
-    pair = _equal_siblings(roots, labels, children)
+    below the given roots of g's hanging forest; every other vertex of g
+    stays fixed."""
+    pair = _equal_siblings(roots, s.labels, s.children)
     if pair is None:
         raise ValueError("no two sibling subtrees are isomorphic")
     perm = list(range(g.n))
-    for x, y in rooted_tree_isomorphism(labels, children, *pair).items():
+    for x, y in rooted_tree_isomorphism(s.labels, s.children, *pair).items():
         perm[x], perm[y] = y, x
     return Automorphism(g, tuple(perm))
 
@@ -137,31 +126,29 @@ def witness_kernel_element(g: Graph, verdict: Verdict | None = None) -> Automorp
     if verdict.faithful:
         return None
 
+    s = _structure(g)
     if verdict.reason == TREE_WITH_SYMMETRY:
         if betti(g) != 0:
             raise ValueError("graph is not a tree")
-        adj = [g.neighbors(v) for v in range(g.n)]
-        return _sibling_swap(g, adj, _tree_centre(adj))
+        return _sibling_swap(g, s, s.roots)
 
     if verdict.reason == SYMMETRIC_PENDANT_TREE:
-        for t in pendant_trees(g):
-            if t.root == verdict.root:
-                return _sibling_swap(g, t.adjacency(), [t.root])
-        raise ValueError(f"no pendant tree hangs from vertex {verdict.root}")
+        # off a tree the roots are the 2-core, and the pendant trees hang there
+        if betti(g) == 0 or verdict.root not in s.roots:
+            raise ValueError(f"no pendant tree hangs from vertex {verdict.root}")
+        return _sibling_swap(g, s, [verdict.root])
 
     if verdict.reason == PERIODIC_UNICYCLIC:
         verts = unique_cycle(g).vertices()
         k = verdict.period
         if k not in range(1, len(verts)):
             raise ValueError(f"period {k} is not a nontrivial rotation of the cycle")
-        # the hanging trees, rooted at the cycle vertices, from one table
-        labels, children = _subtree_labels([g.neighbors(v) for v in range(g.n)], verts, {})
         pairs = list(zip(verts, verts[k:] + verts[:k]))
-        if any(labels[a] != labels[b] for a, b in pairs):
+        if any(s.labels[a] != s.labels[b] for a, b in pairs):
             raise ValueError(f"the cycle does not rotate by {k}")
         perm = list(range(g.n))
         for a, b in pairs:
-            for x, y in rooted_tree_isomorphism(labels, children, a, b).items():
+            for x, y in rooted_tree_isomorphism(s.labels, s.children, a, b).items():
                 perm[x] = y
         return Automorphism(g, tuple(perm))
 

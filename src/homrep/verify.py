@@ -18,10 +18,10 @@ from itertools import permutations
 
 from .autgroup import automorphism_perms
 from .blocks import (
+    _structure,
     block_decomposition,
     block_tree,
     is_periodic_unicyclic,
-    is_rigid_pendant_tree,
     is_simple_cycle_graph,
     pendant_trees,
     two_edge_connected_components,
@@ -83,7 +83,7 @@ CRITERIA = (
     "mod_p",                # mod-3 kernel equals the integer kernel
     "mod2_kernel",          # kernel <= mod-2 kernel, index a power of 2, involutions
     "periodicity_oracle",   # rotation detector vs permutation search
-    "rigidity_oracle",      # pendant-tree rigidity vs permutation search
+    "rigidity_oracle",      # pendant-tree symmetry flags vs permutation search
     "fast_path",            # degree-two shortcut agrees with the classifier
     "block_properties",     # pairwise intersections, edge partition, centre
     "cycle_basis",          # cotree size = betti; own coordinates are unit vectors
@@ -422,11 +422,12 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
         if run.stopped:
             return
 
-    # rigidity detector vs permutation search, on every pendant tree
+    # the symmetry flag classify reads vs permutation search, on every pendant tree
+    forest = _structure(g)
     for tree in pendant_trees(g):
-        ok = is_rigid_pendant_tree(tree) == (not _brute_root_fixing_symmetry(tree))
+        ok = forest.is_symmetric(tree.root) == _brute_root_fixing_symmetry(tree)
         run.record("rigidity_oracle", ok, g,
-                   f"rigidity detector disagrees with search at root {tree.root}")
+                   f"symmetry flag disagrees with search at root {tree.root}")
         if run.stopped:
             return
 

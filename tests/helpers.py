@@ -190,20 +190,34 @@ def _components_without(g: Graph, w: int) -> list[set[int]]:
     return comps
 
 
+def two_core(g: Graph) -> set[int]:
+    """The vertices that survive deleting leaves, one at a time, until
+    none is left; empty for a tree with an edge."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    leaves = [v for v in alive if deg[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        alive.discard(v)
+        for y in g.neighbors(v):
+            if y in alive:
+                deg[y] -= 1
+                if deg[y] == 1:
+                    leaves.append(y)
+    return alive
+
+
 def reference_pendant_trees(g: Graph) -> list[tuple[int, frozenset[int], tuple[tuple[int, int], ...]]]:
     """(root, vertices, sorted edges) of every pendant tree, by root.
 
-    Straight from the definition: w roots a pendant tree when it lies on
-    a cycle (some component of g - w meets w in two or more edges) and
-    some component of g - w is acyclic and meets w in exactly one edge;
-    the tree is w plus all such components.
+    Straight from the definition: w roots a pendant tree when it survives
+    iterated leaf deletion and some component of g - w is acyclic and
+    meets w in exactly one edge; the tree is w plus all such components.
     """
     out = []
-    for w in range(g.n):
+    for w in sorted(two_core(g)):
         nbrs = set(g.neighbors(w))
         comps = _components_without(g, w)
-        if all(len(c & nbrs) < 2 for c in comps):
-            continue
         hanging = set()
         for c in comps:
             inner = sum(1 for u, v in g.edges if u in c and v in c)
@@ -230,17 +244,7 @@ def reference_periodicity(g: Graph) -> tuple[bool, int | None]:
     """
     if g.num_edges != g.n:
         return (False, None)
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
-    leaves = [v for v in alive if deg[v] == 1]
-    while leaves:
-        v = leaves.pop()
-        alive.discard(v)
-        for y in g.neighbors(v):
-            if y in alive:
-                deg[y] -= 1
-                if deg[y] == 1:
-                    leaves.append(y)
+    alive = two_core(g)
     start = min(alive)
     seq = [start]
     prev, v = start, min(y for y in g.neighbors(start) if y in alive)

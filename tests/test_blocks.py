@@ -179,8 +179,8 @@ def decorated_cycle(seed, m, period=None):
 
 def k4_plus_tree(seed, n):
     """K4 on 0..3 with a random tree grown off it, plus triangles closed
-    deep inside the tree: trees hang off those triangles too, and the
-    bridge paths between a triangle and K4 meet cycles at both ends."""
+    deep inside the tree: trees hang off those triangles too, and off
+    the bridge paths between a triangle and K4, which lie on the 2-core."""
     rng = random.Random(seed)
     parent = [-1] * 4 + [rng.randrange(v) for v in range(4, n)]
     edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from helpers import colour_refinement_classes
+from helpers import colour_refinement_classes, two_core
 from homrep import (
     Automorphism,
+    CapacityError,
     DisconnectedGraphError,
     Graph,
     RootedTreeSpec,
@@ -27,6 +28,15 @@ from homrep import (
 )
 
 TRIANGLE_WITH_CHERRY = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5)])
+
+# trees hanging from 2-core vertices that lie in no nontrivial block:
+# a cherry on the cutvertex 6 between two triangles, and two equal paths
+# on vertex 1 of the bridge path from a triangle to a square
+BRIDGE_PATH_TREES = [
+    (9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 6), (6, 3), (6, 7), (6, 8)], 6),
+    (13, [(0, 1), (0, 4), (0, 7), (1, 2), (1, 8), (1, 11), (2, 3), (2, 6), (3, 5),
+          (4, 7), (4, 9), (5, 6), (8, 10), (11, 12)], 1),
+]
 
 
 def decorated_square():
@@ -211,14 +221,19 @@ class TestNoSearch:
 
 
 class TestHangingTreesLabelledOnce:
-    @pytest.mark.parametrize("g, reason", [
-        (TRIANGLE_WITH_CHERRY, "SymmetricPendantTree"),
-        (decorated_square(), "PeriodicUnicyclic"),
-        (Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (1, 5)]), "Faithful"),
-        (Graph(2003, [(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(2, 2002)]),
+    @pytest.mark.parametrize("build, reason", [
+        (lambda: named_family("star", 5), "TreeWithSymmetry"),
+        (lambda: Graph(*BRIDGE_PATH_TREES[0][:2]), "SymmetricPendantTree"),
+        (decorated_square, "PeriodicUnicyclic"),
+        (lambda: Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)]),
          "Faithful"),
-    ])
-    def test_one_labelling_per_unicyclic_classify(self, monkeypatch, g, reason):
+        (lambda: Graph(6, TRIANGLE_WITH_CHERRY.edges), "SymmetricPendantTree"),
+        (lambda: Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (1, 5)]), "Faithful"),
+        (lambda: Graph(2003, [(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(2, 2002)]),
+         "Faithful"),
+    ], ids=["tree", "bridge-path", "periodic", "faithful-core", "cherry-on-cycle",
+            "faithful-unicyclic", "long-tail"])
+    def test_one_labelling_per_graph(self, monkeypatch, build, reason):
         calls = []
         label = blocks._subtree_labels
 
@@ -226,10 +241,16 @@ class TestHangingTreesLabelledOnce:
             calls.append(args[1])
             return label(*args)
         monkeypatch.setattr(blocks, "_subtree_labels", counting)
-        # the package's `classify` attribute is the function, not the module
+        # the package's `classify` attribute is the function, not the module;
+        # the patch there also counts a labelling imported into it
         monkeypatch.setattr(importlib.import_module("homrep.classify"),
-                            "_subtree_labels", counting)
-        assert classify(g).reason == reason
+                            "_subtree_labels", counting, raising=False)
+        g = build()
+        v = classify(g)
+        assert v.reason == reason
+        assert (witness_kernel_element(g, v) is None) == v.faithful
+        is_periodic_unicyclic(g)
+        pendant_trees(g)
         assert len(calls) == 1
 
     def test_smallest_symmetric_root_wins(self):
@@ -238,6 +259,95 @@ class TestHangingTreesLabelledOnce:
         h = Graph(11, list(g.edges) + [(7, 8), (7, 9), (2, 10)])
         assert classify(g) == Verdict(False, "SymmetricPendantTree", root=3)
         assert classify(h) == Verdict(False, "SymmetricPendantTree", root=1)
+
+
+class TestTreesOnBridgePaths:
+    @pytest.mark.parametrize("n, edges, root", BRIDGE_PATH_TREES, ids=["n9", "n13"])
+    def test_verdict_and_witness(self, n, edges, root):
+        g = Graph(n, edges)
+        v = classify(g)
+        assert v == Verdict(False, "SymmetricPendantTree", root=root)
+        assert root in [t.root for t in pendant_trees(g)]
+        w = witness_kernel_element(g, v)
+        assert not w.is_identity()
+        assert w.perm in {f.perm for f in representation(g).kernel}
+        assert all(w.perm[x] == x for x in two_core(g))
+
+
+def bridged_cycles(rng):
+    """A random graph of 8-16 vertices: one to three cycles of length 3 or
+    4 joined in a tree by bridge paths of one to three edges, with small
+    random trees hung from random 2-core vertices until the size is met.
+
+    Also returns the number of 2-core vertices, which are 0..core-1, the
+    inner vertices of the bridge paths, which lie on the 2-core but in no
+    nontrivial block, and the parent of every hung vertex.
+    """
+    edges, cycles, on_paths = [], [], []
+    n = 0
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(3, 4)
+        cycle = list(range(n, n + m))
+        n += m
+        edges += [(cycle[j], cycle[(j + 1) % m]) for j in range(m)]
+        if cycles:
+            inner = list(range(n, n + rng.randint(0, 2)))
+            n += len(inner)
+            path = [rng.choice(rng.choice(cycles))] + inner + [rng.choice(cycle)]
+            edges += list(zip(path, path[1:]))
+            on_paths += inner
+        cycles.append(cycle)
+    core = n
+    parent = {}
+    size = rng.randint(max(8, core), 16)
+    while n < size:
+        root = rng.choice(on_paths) if on_paths and rng.random() < 0.5 else rng.randrange(core)
+        new = list(range(n, n + rng.randint(1, min(3, size - n))))
+        n += len(new)
+        for j, v in enumerate(new):
+            parent[v] = rng.choice([root] + new[:j])
+            edges.append((parent[v], v))
+    return Graph(n, edges), core, set(on_paths), parent
+
+
+def symmetric_hanging_roots(core, parent):
+    """The 2-core vertices whose hung tree has a vertex with two
+    isomorphic child subtrees, by nested-string codes."""
+    children: dict[int, list[int]] = {}
+    for v, p in parent.items():
+        children.setdefault(p, []).append(v)
+
+    def code(v):
+        return "(" + "".join(sorted(code(c) for c in children.get(v, []))) + ")"
+
+    def symmetric(v):
+        kids = children.get(v, [])
+        return (len({code(c) for c in kids}) < len(kids)
+                or any(symmetric(c) for c in kids))
+    return {v for v in range(core) if symmetric(v)}
+
+
+class TestBridgedCycles:
+    def test_agree_with_bruteforce_kernel(self):
+        # beyond the n <= 6 corpus: seeded graphs of 8-16 vertices whose
+        # groups fit under a low cap; the rest are skipped, not checked
+        rng = random.Random(8)
+        checked = bridge_path_only = 0
+        for _ in range(2200):
+            g, core, on_paths, parent = bridged_cycles(rng)
+            try:
+                kernel = {f.perm for f in representation(g, cap=500).kernel}
+            except CapacityError:
+                continue
+            checked += 1
+            v = classify(g)
+            assert v.faithful == (len(kernel) == 1), g
+            if not v.faithful:
+                assert witness_kernel_element(g, v).perm in kernel, g
+            roots = symmetric_hanging_roots(core, parent)
+            bridge_path_only += bool(roots) and roots <= on_paths
+        assert checked >= 2000
+        assert bridge_path_only > 0
 
 
 class TestRandomTrees:

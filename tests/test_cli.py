@@ -54,6 +54,24 @@ class TestInfo:
         assert data["unicyclic"] and data["periodic"] and data["period"] == 2
         assert len(data["pendant_trees"]) == 4
 
+    @pytest.mark.parametrize("text, root, tree", [
+        # a cherry on the cutvertex 6 between two triangles
+        ("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n2 6\n6 3\n6 7\n6 8\n", 6,
+         {"root": 6, "vertices": [6, 7, 8], "edges": [[6, 7], [6, 8]]}),
+        # two paths on vertex 1 of the bridge path 0-1-2 from a triangle to a square
+        ("0 1\n0 4\n0 7\n1 2\n1 8\n1 11\n2 3\n2 6\n3 5\n4 7\n4 9\n5 6\n8 10\n11 12\n", 1,
+         {"root": 1, "vertices": [1, 8, 10, 11, 12],
+          "edges": [[1, 8], [1, 11], [8, 10], [11, 12]]}),
+    ], ids=["n9", "n13"])
+    def test_tree_on_bridge_path_listed(self, capsys, tmp_path, text, root, tree):
+        path = tmp_path / "bridged.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "info", "--input", str(path), "--json")
+        assert code == 0
+        assert tree in json.loads(out)["pendant_trees"]
+        code, out, _ = run_cli(capsys, "classify", "--input", str(path), "--json")
+        assert json.loads(out)["witness"] == {"root": root}
+
     def test_disconnected_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0 1\n2 3\n")
