@@ -23,11 +23,9 @@ from .blocks import (
     _structure,
     _Structure,
     is_periodic_unicyclic,
-    is_simple_cycle_graph,
     rooted_tree_isomorphism,
     unique_cycle,
 )
-from .cycles import betti
 from .graphs import Graph, require_connected
 
 FAITHFUL = "Faithful"
@@ -69,8 +67,8 @@ def classify(g: Graph) -> Verdict:
     Off a tree, every pendant tree hangs from the 2-core, so the labels
     of the forest hanging from it answer both of the last two checks.
     """
-    s = _structure(g)
-    if betti(g) == 0:
+    s = _structure(g)  # rejects a disconnected graph
+    if g.num_edges < g.n:
         # automorphisms fix the centre: symmetry means isomorphic siblings
         roots = s.roots
         if len({s.labels[r] for r in roots}) < len(roots) or any(map(s.is_symmetric, roots)):
@@ -94,7 +92,7 @@ def classify_fast_2edge(g: Graph) -> Verdict | None:
     require_connected(g)
     if any(g.degree(v) == 1 for v in range(g.n)):
         return None
-    if is_simple_cycle_graph(g):
+    if all(g.degree(v) == 2 for v in range(g.n)):  # connected: a simple cycle
         return Verdict(False, PERIODIC_UNICYCLIC, period=1)
     return Verdict(True, FAITHFUL)
 
@@ -128,13 +126,13 @@ def witness_kernel_element(g: Graph, verdict: Verdict | None = None) -> Automorp
 
     s = _structure(g)
     if verdict.reason == TREE_WITH_SYMMETRY:
-        if betti(g) != 0:
+        if g.num_edges >= g.n:
             raise ValueError("graph is not a tree")
         return _sibling_swap(g, s, s.roots)
 
     if verdict.reason == SYMMETRIC_PENDANT_TREE:
         # off a tree the roots are the 2-core, and the pendant trees hang there
-        if betti(g) == 0 or verdict.root not in s.roots:
+        if g.num_edges < g.n or verdict.root not in s.roots:
             raise ValueError(f"no pendant tree hangs from vertex {verdict.root}")
         return _sibling_swap(g, s, [verdict.root])
 

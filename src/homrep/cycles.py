@@ -87,22 +87,14 @@ class SpanningTreeBasis:
         for u, v in tree:
             if not graph.has_edge(u, v):
                 raise ValueError(f"tree edge ({u}, {v}) is not a graph edge")
-        # orient the tree away from the root; also checks it spans
+        # orient the tree away from the root; also checks it spans.  The
+        # edges in sorted order list every vertex's neighbours in order.
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in tree:
+        for u, v in sorted(tree):
             adj[u].append(v)
             adj[v].append(u)
-        parent = [-2] * n
-        depth = [0] * n
-        parent[root] = -1
-        queue = [root]
-        for x in queue:
-            for y in sorted(adj[x]):
-                if parent[y] == -2:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-        if len(queue) != n:
+        parent, depth = _bfs_tree(adj, root)
+        if -2 in parent:
             raise ValueError("edge set is not a spanning tree (does not reach "
                              "every vertex)")
         self._adopt(graph, root, parent, depth)
@@ -226,23 +218,30 @@ def basis_from_tree(g: Graph, tree_edges: Iterable[tuple[int, int]],
     return SpanningTreeBasis(g, tree_edges, root)
 
 
+def _bfs_tree(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Parent pointers and depths of the BFS tree from root, taking each
+    vertex's neighbours in the order adj lists them; the parent is -1 at
+    the root and -2 at every vertex the search does not reach."""
+    parent = [-2] * len(adj)
+    depth = [0] * len(adj)
+    parent[root] = -1
+    queue = [root]
+    for x in queue:
+        for y in adj[x]:
+            if parent[y] == -2:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                queue.append(y)
+    return parent, depth
+
+
 def spanning_tree_basis(g: Graph) -> SpanningTreeBasis:
     """Canonical basis: BFS tree from vertex 0, neighbors in label order.
 
     Deterministic, so repeated runs (and golden outputs) agree.
     """
-    n = g.n
-    parent = [-2] * n
-    depth = [0] * n
-    parent[0] = -1
-    queue = [0]
-    for x in queue:
-        for y in g.neighbors(x):
-            if parent[y] == -2:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                queue.append(y)
-    if len(queue) != n:
+    parent, depth = _bfs_tree(g._adj, 0)
+    if -2 in parent:
         raise DisconnectedGraphError("graph is not connected")
     return SpanningTreeBasis._from_parents(g, 0, parent, depth)
 

@@ -24,7 +24,6 @@ from .blocks import (
     is_periodic_unicyclic,
     is_simple_cycle_graph,
     pendant_trees,
-    two_edge_connected_components,
     unique_cycle,
 )
 from .classify import classify, classify_fast_2edge, witness_kernel_element
@@ -157,6 +156,39 @@ def _brute_root_fixing_symmetry(tree) -> bool:
     return False
 
 
+def _kernel_structure_check(g: Graph, b):
+    """The structural properties every kernel element has, on basis b of g:
+    returns a function giving the detail of the first property that a
+    vertex permutation breaks, or None when it keeps them all."""
+    cycles = b.fundamental_cycles()
+    dart_sets = [c.dart_set() for c in cycles]
+    vert_sets = [set(c.vertices()) for c in cycles]
+    # the vertices of two cycles that meet: a kernel element fixes them all
+    pinned = {x for i, vi in enumerate(vert_sets) for vj in vert_sets[i + 1:]
+              if vi & vj for x in vi | vj}
+    structure = _structure(g)
+    blocks = structure.blocks.nontrivial_blocks()
+    non_cycles = [comp for comp in structure.two_edge_components if len(comp) >= 3
+                  and any(sum(y in comp for y in g.neighbors(x)) != 2 for x in comp)]
+
+    def first_violation(p) -> str | None:
+        for j, c in enumerate(cycles):
+            if {(p[d.tail], p[d.head]) for d in c.darts} != dart_sets[j]:
+                return f"kernel element moves fundamental cycle {j + 1}"
+        if any(p[x] != x for x in pinned):
+            return "intersecting cycles not fixed pointwise"
+        if any({p[x] for x in blk} != blk for blk in blocks):
+            return "kernel element moves a nontrivial block"
+        if any(p[x] != x for comp in non_cycles for x in comp):
+            return "kernel element moves a 2-edge-connected non-cycle part"
+        return None
+    return first_violation
+
+
+class _Stop(Exception):
+    """Ends a fail-fast run at its first violation."""
+
+
 class _Run:
     def __init__(self, n_max, seeds, pair_sample, cap, sample_seed, fail_fast):
         self.summary = VerificationSummary(n_max=n_max)
@@ -167,9 +199,10 @@ class _Run:
         self.cap = cap
         self.sample_seed = sample_seed
         self.fail_fast = fail_fast
-        self.stopped = False
 
-    def record(self, name: str, ok: bool, g: Graph, detail: str) -> None:
+    def record(self, name: str, ok: bool, g: Graph, detail: str | None) -> None:
+        """Count one check of criterion `name`; a failed check keeps its
+        detail and, in a fail-fast run, raises _Stop."""
         r = self.summary.result(name)
         r.checked += 1
         if ok:
@@ -181,7 +214,7 @@ class _Run:
         if self.summary.failure is None:
             self.summary.failure = VerificationFailure(name, text, detail)
         if self.fail_fast:
-            self.stopped = True
+            raise _Stop
 
 
 def _check_graph(g: Graph, idx: int, run: _Run) -> None:
@@ -195,16 +228,9 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
     kernel_set = set(kernel)
 
     # cycle_basis: cotree size and own coordinates
-    ok = beta == g.num_edges - g.n + 1
-    if ok:
-        cycles = b.fundamental_cycles()
-        for j, c in enumerate(cycles):
-            if cycle_coordinates(c, b) != unit[j]:
-                ok = False
-                break
+    ok = beta == g.num_edges - g.n + 1 and all(
+        cycle_coordinates(c, b) == unit[j] for j, c in enumerate(b.fundamental_cycles()))
     run.record("cycle_basis", ok, g, "fundamental cycle coordinates are not unit vectors")
-    if run.stopped:
-        return
 
     # block properties: P1, P2, centre
     d = block_decomposition(g)
@@ -234,8 +260,6 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
             ok = False
             detail = str(exc)
     run.record("block_properties", ok, g, detail or "block structure violation")
-    if run.stopped:
-        return
 
     # criterion 1: classifier vs brute-force kernel
     verdict = classify(g)
@@ -243,8 +267,6 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
     run.record("classify_oracle", verdict.faithful == brute_faithful, g,
                f"classify says faithful={verdict.faithful} ({verdict.describe()}), "
                f"brute-force kernel has order {len(kernel)}")
-    if run.stopped:
-        return
 
     # witness validity: constructed kernel element really is in the kernel
     if not verdict.faithful:
@@ -264,16 +286,12 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
             ok = False
             detail = f"witness construction failed: {exc}"
         run.record("witness_validity", ok, g, detail)
-        if run.stopped:
-            return
 
     # fast path consistency
     fast = classify_fast_2edge(g)
     if fast is not None:
         run.record("fast_path", fast.faithful == verdict.faithful, g,
                    "degree-two shortcut disagrees with classifier")
-        if run.stopped:
-            return
 
     # criterion 2: homomorphism, determinant, entry range; the gather against the walk
     entries_ok = all(abs(x) <= 1 for p in perms for row in mats[p].rows for x in row)
@@ -281,8 +299,6 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
     run.record("homomorphism", entries_ok and walk_ok, g,
                "matrix entry outside {-1,0,1}" if not entries_ok
                else "gathered matrix differs from the dart walk")
-    if run.stopped:
-        return
     order = len(perms)
     if g.n <= 5 or order * order <= run.pair_sample:
         pairs = [(f, h) for f in perms for h in perms]
@@ -295,15 +311,11 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
     for p in det_perms:
         run.record("homomorphism", abs(determinant(mats[p])) == 1, g,
                    "matrix determinant is not +/-1")
-        if run.stopped:
-            return
     for f, h in pairs:
         fh = tuple(f[h[v]] for v in range(g.n))
         ok = mats[fh] == mats[f] @ mats[h]
         run.record("homomorphism", ok, g,
                    "matrix of a composite differs from the matrix product")
-        if run.stopped:
-            return
 
     # criterion 3: kernel does not depend on the spanning tree
     for seed in run.seeds:
@@ -311,67 +323,21 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
         kernel2 = {p for p in perms if _is_kernel_perm(p, b2)}
         run.record("basis_independence", kernel2 == kernel_set, g,
                    f"kernel changed under random tree (seed {seed})")
-        if run.stopped:
-            return
         if g.n <= 5:
             p_mat = change_of_basis(b, b2)
             run.record("basis_independence", abs(determinant(p_mat)) == 1, g,
                        f"change-of-basis matrix is not unimodular (seed {seed})")
-            if run.stopped:
-                return
             p_inv = inverse_unimodular(p_mat)
             for p in perms:
                 ok = IntMatrix(_gather(p, b2)) == p_inv @ mats[p] @ p_mat
                 run.record("basis_independence", ok, g,
                            f"conjugacy identity failed (seed {seed})")
-                if run.stopped:
-                    return
 
     # criterion 4: structural properties of kernel elements
-    cycles = b.fundamental_cycles()
-    dart_sets = [c.dart_set() for c in cycles]
-    vert_sets = [set(c.vertices()) for c in cycles]
-    twoec = [comp for comp in two_edge_connected_components(g) if len(comp) >= 3]
+    violation = _kernel_structure_check(g, b)
     for p in kernel:
-        ok = True
-        detail = ""
-        for j, c in enumerate(cycles):
-            image = {(p[d.tail], p[d.head]) for d in c.darts}
-            if image != {(d.tail, d.head) for d in dart_sets[j]}:
-                ok = False
-                detail = f"kernel element moves fundamental cycle {j + 1}"
-                break
-        if ok:
-            for i in range(len(cycles)):
-                for j in range(i + 1, len(cycles)):
-                    if vert_sets[i] & vert_sets[j]:
-                        union = dart_sets[i] | dart_sets[j]
-                        if any(p[d.tail] != d.tail or p[d.head] != d.head
-                               for d in union):
-                            ok = False
-                            detail = "intersecting cycles not fixed pointwise"
-                            break
-                if not ok:
-                    break
-        if ok:
-            for blk in d.nontrivial_blocks():
-                if {p[x] for x in blk} != blk:
-                    ok = False
-                    detail = "kernel element moves a nontrivial block"
-                    break
-        if ok:
-            for comp in twoec:
-                induced_deg = {x: sum(1 for y in g.neighbors(x) if y in comp)
-                               for x in comp}
-                if all(dv == 2 for dv in induced_deg.values()):
-                    continue  # the component is a simple cycle
-                if any(p[x] != x for x in comp):
-                    ok = False
-                    detail = "kernel element moves a 2-edge-connected non-cycle part"
-                    break
-        run.record("kernel_structure", ok, g, detail or "kernel structure violation")
-        if run.stopped:
-            return
+        detail = violation(p)
+        run.record("kernel_structure", detail is None, g, detail)
 
     # criterion 5: no leaves => injective unless the whole graph is a cycle
     if all(g.degree(v) >= 2 for v in range(g.n)):
@@ -382,15 +348,11 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
             ok = len(kernel) == 1
             detail = "leafless non-cycle graph has a nontrivial kernel"
         run.record("min_degree_two", ok, g, detail)
-        if run.stopped:
-            return
 
     # criterion 7: mod-p kernels
     kernel3 = {p for p in perms if _is_kernel_perm(p, b, 3)}
     run.record("mod_p", kernel3 == kernel_set, g,
                "mod-3 kernel differs from the integer kernel")
-    if run.stopped:
-        return
     # torsion in the level-2 congruence subgroup has order at most 2
     # (Minkowski), so ker2 / ker is an elementary abelian 2-group
     kernel2 = {p for p in perms if _is_kernel_perm(p, b, 2)}
@@ -405,8 +367,6 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
         ok = all((mats[p] @ mats[p]).is_identity() for p in kernel2 - kernel_set)
         detail = "a mod-2 kernel element does not square to the identity"
     run.record("mod2_kernel", ok, g, detail)
-    if run.stopped:
-        return
     if kernel2 > kernel_set:
         s.mod2_extra_count += 1
         if len(s.mod2_extra_examples) < MOD2_REPRODUCER_LIMIT:
@@ -419,8 +379,6 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
         ok = periodic == (brute is not None) and (not periodic or brute == k)
         run.record("periodicity_oracle", ok, g,
                    f"rotation detector says {(periodic, k)}, search found shift {brute}")
-        if run.stopped:
-            return
 
     # the symmetry flag classify reads vs permutation search, on every pendant tree
     forest = _structure(g)
@@ -428,8 +386,6 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
         ok = forest.is_symmetric(tree.root) == _brute_root_fixing_symmetry(tree)
         run.record("rigidity_oracle", ok, g,
                    f"symmetry flag disagrees with search at root {tree.root}")
-        if run.stopped:
-            return
 
 
 def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS,
@@ -447,17 +403,17 @@ def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS,
     if pair_sample < 1:
         raise ValueError(f"pair sample must be at least 1, got {pair_sample}")
     run = _Run(n_max, seeds, pair_sample, cap, sample_seed, fail_fast)
-    for n in range(2, n_max + 1):
-        count = 0
-        for idx, g in enumerate(enumerate_connected_graphs(n)):
-            count += 1
-            _check_graph(g, idx, run)
-            if progress is not None:
-                progress(n, count)
-            if run.stopped:
-                run.summary.per_n[n] = count
-                run.summary.graphs_total += count
-                return run.summary
-        run.summary.per_n[n] = count
-        run.summary.graphs_total += count
-    return run.summary
+    s = run.summary
+    try:
+        for n in range(2, n_max + 1):
+            for idx, g in enumerate(enumerate_connected_graphs(n)):
+                s.per_n[n] = idx + 1
+                s.graphs_total += 1
+                _check_graph(g, idx, run)
+                if progress is not None:
+                    progress(n, idx + 1)
+    except _Stop:
+        # the graph that ends the run is reported like any other
+        if progress is not None:
+            progress(n, s.per_n[n])
+    return s

@@ -20,15 +20,20 @@ from homrep import (
     betti,
     build_periodic_unicyclic,
     classify,
+    format_edge_list,
     named_family,
     representation,
+    spanning_tree_basis,
     verify_corpus,
 )
+from homrep.verify import _kernel_structure_check
 from helpers import (
     all_increasing_parent_arrays,
+    brute_force_automorphisms,
     brute_rooted_isomorphic,
     parents_to_edges,
     rooted_trees_up_to_iso,
+    signed_incidence_matrix,
 )
 
 EXPECTED_CORPUS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -80,6 +85,27 @@ def test_criterion_4_kernel_elements_fix_structure(summary):
            "2-edge-connected non-cycles pointwise", r.violations == 0,
            f"{r.checked} kernel elements")
     assert r.violations == 0, r.first_detail
+
+
+def test_criterion_4_check_fires_off_the_kernel(corpus5):
+    # the corpus pass hands the check kernel elements only; every other
+    # automorphism moves a fundamental cycle of the canonical basis
+    checked = 0
+    for g in corpus5:
+        b = spanning_tree_basis(g)
+        violation = _kernel_structure_check(g, b)
+        unit = [tuple(int(i == j) for j in range(b.beta)) for i in range(b.beta)]
+        for p in brute_force_automorphisms(g):
+            detail = violation(p)
+            if signed_incidence_matrix(g, p, b) == unit:
+                assert detail is None, (format_edge_list(g), p, detail)
+            else:
+                assert detail is not None and detail.startswith(
+                    "kernel element moves fundamental cycle"), (format_edge_list(g), p, detail)
+                checked += 1
+    report("criterion 4: the check rejects every automorphism outside the kernel",
+           checked > 0, f"{checked} automorphisms")
+    assert checked > 0
 
 
 def test_criterion_5_leafless_graphs(summary):

@@ -265,6 +265,58 @@ class TestVerify:
         assert all(c.violations == 0 for name, c in summary.criteria.items()
                    if name != "mod2_kernel")
 
+    def test_fail_fast_stops_at_the_first_violation(self, monkeypatch):
+        # the transposed gather of test_gather_checked_against_dart_walk
+        import homrep.verify
+
+        gather = homrep.rep._gather
+
+        def transposed(perm, b):
+            return tuple(zip(*gather(perm, b)))
+
+        monkeypatch.setattr(homrep.rep, "_gather", transposed)
+        monkeypatch.setattr(homrep.verify, "_gather", transposed)
+        calls = []
+        summary = homrep.verify_corpus(5, fail_fast=True,
+                                       progress=lambda n, count: calls.append((n, count)))
+        violated = {name: r.violations for name, r in summary.criteria.items() if r.violations}
+        assert violated == {summary.failure.criterion: 1}
+        n, count = calls[-1]
+        assert list(summary.per_n)[-1] == n and summary.per_n[n] == count
+        assert summary.graphs_total == sum(summary.per_n.values()) == len(calls)
+        # the last graph counted is the one that stopped the run
+        stopper = list(homrep.enumerate_connected_graphs(n))[count - 1]
+        assert summary.failure.graph_text == homrep.format_edge_list(stopper)
+
+    def test_fail_fast_stops_on_a_raising_witness(self, monkeypatch):
+        import homrep.verify
+
+        def broken(g, verdict=None):
+            raise RuntimeError("broken witness")
+
+        monkeypatch.setattr(homrep.verify, "witness_kernel_element", broken)
+        summary = homrep.verify_corpus(5, fail_fast=True)
+        assert summary.per_n == {2: 1} and summary.graphs_total == 1
+        assert {name: r.violations for name, r in summary.criteria.items()
+                if r.violations} == {"witness_validity": 1}
+        assert summary.failure.detail == "witness construction failed: broken witness"
+
+    @pytest.mark.parametrize("fail_fast", [False, True], ids=["all", "fail-fast"])
+    def test_progress_exception_propagates(self, fail_fast):
+        class Enough(Exception):
+            pass
+
+        raised = []
+
+        def progress(n, count):
+            # raises once, so a run that swallowed it would return
+            if n == 3 and not raised:
+                raised.append(count)
+                raise Enough
+
+        with pytest.raises(Enough):
+            homrep.verify_corpus(4, fail_fast=fail_fast, progress=progress)
+
     def test_seed_flag_parsed(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "3",
                                "--seeds", "2,4", "--json")
