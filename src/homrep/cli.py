@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .autgroup import DEFAULT_CAP
 from .blocks import (
@@ -27,7 +28,7 @@ from .cycles import betti, random_spanning_tree_basis, spanning_tree_basis
 from .errors import CapacityError, DisconnectedGraphError, GraphParseError
 from .families import RootedTreeSpec, build_periodic_unicyclic, named_family
 from .graphs import Graph, format_edge_list, parse_edge_list, parse_graph6, require_connected
-from .matrices import is_prime, matrix_mod_p
+from .matrices import IntMatrix, is_prime
 from .rep import representation
 from .verify import verify_corpus
 
@@ -78,10 +79,28 @@ def _load_graph(args) -> Graph:
 # CPython's C encoder serves only indent=None, and json.dump(indent=2)
 # spends most of a `rep --json` run formatting integers in Python.  The
 # emitter below writes the same bytes: keys and scalars other than ints
-# go through the stdlib encoder, and a list of plain ints is joined in
-# one call.
+# go through the stdlib encoder, a list of plain ints is joined in one
+# call, and a list of plain-int rows (a matrix) is joined from the rows'
+# texts.  The matrices of one `rep` report share their row tuples, so
+# each distinct row is formatted once per call.
 _scalar = json.JSONEncoder().encode
 _INDENT = "  "
+
+
+def _int_list(o, nl: str) -> str:
+    """Text of a non-empty list of plain ints whose line starts at nl."""
+    inner = nl + _INDENT
+    return "[" + inner + ("," + inner).join(map(str, o)) + nl + "]"
+
+
+class _RowMemo(dict):
+    """(row, nl) -> the text of a tuple of plain ints whose line starts
+    at nl, made on first use.  Look a row up only after checking that
+    its items are plain ints: (1, 0) == (True, False), with equal hashes."""
+
+    def __missing__(self, key):
+        text = self[key] = _int_list(*key)
+        return text
 
 
 def _key(k) -> str:
@@ -93,23 +112,47 @@ def _key(k) -> str:
                     f"not {k.__class__.__name__}")
 
 
-def _encode(o, nl: str) -> str:
+def _flat(o, nl: str, memo: _RowMemo) -> str | None:
+    """Text of a non-empty list of plain ints, or of non-empty lists or
+    tuples of plain ints, whose line starts at nl; None for any other list."""
+    types = set(map(type, o))
+    if types == {int}:
+        return _int_list(o, nl)
+    if types <= {list, tuple} and all(o) and set(map(type, chain.from_iterable(o))) == {int}:
+        inner = nl + _INDENT
+        return "[" + inner + ("," + inner).join(
+            [memo[row, inner] if type(row) is tuple else _int_list(row, inner)
+             for row in o]) + nl + "]"
+    return None
+
+
+def _encode(o, nl: str, memo: _RowMemo) -> str:
     """json.dumps(o, indent=2) for a value whose line starts at nl."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        inner = nl + _INDENT
-        if set(map(type, o)) == {int}:
-            items = map(str, o)
-        else:
-            items = [_encode(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        text = _flat(o, nl, memo)
+        if text is None:
+            inner = nl + _INDENT
+            text = "[" + inner + ("," + inner).join(
+                [_encode(x, inner, memo) for x in o]) + nl + "]"
+        return text
     if isinstance(o, dict):
         if not o:
             return "{}"
         inner = nl + _INDENT
-        return "{" + inner + ("," + inner).join(
-            [_key(k) + ": " + _encode(v, inner) for k, v in o.items()]) + nl + "}"
+        parts = []
+        for k, v in o.items():
+            t = type(v)
+            text = None
+            if t is int:
+                text = str(v)
+            elif (t is list or t is tuple) and v:
+                text = _flat(v, inner, memo)
+            if text is None:
+                text = _encode(v, inner, memo)
+            parts.append(_key(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if type(o) is int:
         return str(o)
     return _scalar(o)
@@ -120,9 +163,10 @@ def _print_json(obj) -> None:
 
     The top-level object and the containers directly inside it are
     written one element at a time, so a large report is never held as
-    one string.
+    one string; a list of ints or of int rows is written whole.
     """
     write = sys.stdout.write
+    memo = _RowMemo()
 
     def emit(o, nl: str, depth: int) -> None:
         inner = nl + _INDENT
@@ -134,7 +178,11 @@ def _print_json(obj) -> None:
                 emit(v, inner, depth - 1)
                 sep = "," + inner
             write(nl + "}")
-        elif depth and o and isinstance(o, (list, tuple)) and set(map(type, o)) != {int}:
+        elif depth and o and isinstance(o, (list, tuple)):
+            text = _flat(o, nl, memo)
+            if text is not None:
+                write(text)
+                return
             write("[")
             for x in o:
                 write(sep)
@@ -142,7 +190,7 @@ def _print_json(obj) -> None:
                 sep = "," + inner
             write(nl + "]")
         else:
-            write(_encode(o, nl))
+            write(_encode(o, nl, memo))
 
     emit(obj, "\n", 2)
     write("\n")
@@ -200,6 +248,26 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _reducer(p: int):
+    """IntMatrix -> its entrywise reduction into 0..p-1 for a prime p.
+
+    The matrices of one report share their rows, so each distinct row
+    is reduced once and the reduced matrices share rows in turn.
+    """
+    reduced: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def reduce(m: IntMatrix) -> IntMatrix:
+        rows = []
+        for row in m.rows:
+            r = reduced.get(row)
+            if r is None:
+                r = reduced[row] = tuple(x % p for x in row)
+            rows.append(r)
+        return IntMatrix(tuple(rows))
+
+    return reduce
+
+
 def cmd_rep(args) -> int:
     if args.mod_p is not None and not is_prime(args.mod_p):
         raise ValueError(f"{args.mod_p} is not prime")
@@ -207,8 +275,11 @@ def cmd_rep(args) -> int:
     require_connected(g)
     b = _basis(args, g)
     report = representation(g, b, cap=args.cap)
-    kernel_set = set(report.kernel)
-    shown = report.kernel if args.kernel_only else list(report.matrices)
+    if args.kernel_only:
+        shown = [(f, report.matrices[f]) for f in report.kernel]
+    else:
+        shown = report.matrices.items()
+    mod_p = _reducer(args.mod_p) if args.mod_p is not None else None
     if args.json:
         out = {
             "n": g.n,
@@ -222,19 +293,15 @@ def cmd_rep(args) -> int:
             },
             "betti": b.beta,
             "group_order": report.group_order,
-            "matrices": [
-                {"perm": list(f.perm), "matrix": report.matrices[f].to_json()}
-                for f in shown],
+            "matrices": [{"perm": f.perm, "matrix": m.to_json()} for f, m in shown],
             "kernel": [list(f.perm) for f in report.kernel],
             "faithful": report.faithful,
         }
-        if args.mod_p is not None:
+        if mod_p is not None:
             out["mod_p"] = {
                 "p": args.mod_p,
-                "matrices": [
-                    {"perm": list(f.perm),
-                     "matrix": matrix_mod_p(report.matrices[f], args.mod_p).to_json()}
-                    for f in shown],
+                "matrices": [{"perm": f.perm, "matrix": mod_p(m).to_json()}
+                             for f, m in shown],
             }
         _print_json(out)
         return EXIT_OK
@@ -244,17 +311,17 @@ def cmd_rep(args) -> int:
     print(f"cotree darts: {[tuple(d) for d in b.cotree]}")
     print(f"betti: {b.beta}")
     print(f"group order: {report.group_order}")
-    for f in shown:
+    kernel_set = set(report.kernel)
+    for f, m in shown:
         tag = " (kernel)" if f in kernel_set else ""
         print(f"automorphism {list(f.perm)}{tag}")
-        m = report.matrices[f]
         if m.dim:
             print(m.render_text())
         else:
             print("(empty 0x0 matrix)")
-        if args.mod_p is not None:
+        if mod_p is not None:
             print(f"mod {args.mod_p}:")
-            print(matrix_mod_p(m, args.mod_p).render_text() or "(empty)")
+            print(mod_p(m).render_text() or "(empty)")
     print(f"kernel size: {len(report.kernel)}")
     print(f"faithful: {report.faithful}")
     return EXIT_OK

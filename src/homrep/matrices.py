@@ -62,7 +62,8 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "rows": [list(r) for r in self.rows]}
+        """The matrix as JSON data; json renders the row tuples as lists."""
+        return {"dim": self.dim, "rows": self.rows}
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"

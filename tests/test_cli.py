@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import homrep
 import homrep.cli
 import homrep.rep
-from homrep import parse_edge_list
+from homrep import IntMatrix, matrix_mod_p, parse_edge_list
 from homrep.cli import main
 
 
@@ -142,6 +142,25 @@ class TestRep:
         assert code == 0 and data["mod_p"]["p"] == 3
         rows = [m["matrix"]["rows"] for m in data["mod_p"]["matrices"]]
         assert [[2]] in rows  # reflections reduce to [-1] = [2] mod 3
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("source", [
+        ("--family", "complete", "5"), ("--g6", "EFz_"), ("--family", "cycle", "12"),
+        ("--family", "star", "4"),
+    ], ids=["K5", "K3,3", "C12", "star-4"])
+    def test_mod_p_matrices_are_matrix_mod_p(self, capsys, source, p):
+        code, out, _ = run_cli(capsys, "rep", *source, "--mod-p", str(p), "--json")
+        data = json.loads(out)
+        want = [matrix_mod_p(IntMatrix.from_rows(m["matrix"]["rows"]), p)
+                for m in data["matrices"]]
+        assert code == 0
+        assert ([m["matrix"]["rows"] for m in data["mod_p"]["matrices"]]
+                == [[list(row) for row in w.rows] for w in want])
+        code, out, _ = run_cli(capsys, "rep", *source, "--mod-p", str(p))
+        blocks = out.split(f"mod {p}:\n")[1:]
+        assert code == 0 and len(blocks) == len(want)
+        for block, w in zip(blocks, want):
+            assert block.startswith((w.render_text() or "(empty)") + "\n")
 
     def test_mod_p_rejects_composite(self, capsys):
         code, _, err = run_cli(capsys, "rep", "--family", "cycle", "4",
@@ -360,11 +379,19 @@ class TestGen:
 # floats include nan and +/-inf, strings run beyond ASCII
 JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+# lists drawn from a small pool of int rows, so rows repeat as the same
+# object (as a `rep` report's matrix rows do), and with each row its twin
+# with bools for 0 and 1, which compares equal: (1, 0) == (True, False)
+ROW_POOLS = st.lists(
+    st.lists(st.integers(-1, 2), min_size=1, max_size=3).map(tuple), min_size=1, max_size=3,
+).map(lambda rows: rows + [tuple(bool(x) if x in (0, 1) else x for x in r) for r in rows])
+SHARED_ROWS = ROW_POOLS.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=6))
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
     lambda inner: st.one_of(
         st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(JSON_KEYS, inner),
-        st.lists(st.integers()), st.lists(st.one_of(st.integers(), st.booleans()))),
+        st.lists(st.integers()), st.lists(st.one_of(st.integers(), st.booleans())),
+        SHARED_ROWS, SHARED_ROWS.map(lambda rows: {"rows": rows, "nested": [rows, {"m": rows}]})),
     max_leaves=30)
 
 
@@ -384,7 +411,12 @@ class TestJson:
         ("classify", "--family", "cycle", "6", "--json"),
         ("verify", "--n-max", "3", "--json"),  # int keys under "graphs"
         ("gen", "4", "2", "[-1,0]", "[-1,0,1]", "--json"),
-    ], ids=["rep", "rep-mod-p", "rep-kernel-only", "info", "classify", "verify", "gen"])
+        ("rep", "--g6", "IheA@GUAo", "--tree", "rand", "--seed", "3", "--json"),
+        ("rep", "--family", "complete", "5", "--mod-p", "2", "--json"),
+        ("rep", "--family", "star", "4", "--kernel-only", "--json"),  # beta = 0: "rows": []
+        ("rep", "--family", "path", "1", "--json"),
+    ], ids=["rep", "rep-mod-p", "rep-kernel-only", "info", "classify", "verify", "gen",
+            "rep-petersen-rand", "rep-k5-mod-2", "rep-star-kernel-only", "rep-single-vertex"])
     def test_json_is_indented_with_one_trailing_newline(self, capsys, monkeypatch, argv):
         printed = []
 
@@ -408,6 +440,10 @@ class TestJson:
         {}, [], (), {"a": []}, [[], {}], {2: 2, True: 3, False: 5, None: 4, 1.5: [1, True]},
         {"\u00e9\u6f22\U0001f600": ["\n\"", float("nan"), float("inf"), -float("inf")]},
         [-1, 0, 2 ** 70], [True, False, 1], (1, (2, 3)), 7, "s", None, 0.1,
+        # rows that compare equal across types, and one row at two indents
+        [(1, 2), (True, 2)], [(1, 0), (1.0, 0)], [(1, 2), [(1, 2)]],
+        {"a": [(1,)], "b": {"c": [(1,)]}}, [(1, 0), (True, False), (1, 0)],
+        {"m": [[(1, 0)], [(True, False)]]},
     ])
     def test_emitter_edge_cases(self, obj):
         assert print_json_output(obj) == json.dumps(obj, indent=2) + "\n"
