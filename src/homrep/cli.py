@@ -12,6 +12,7 @@ disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import chain
@@ -341,24 +342,23 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     seeds = tuple(int(tok) for tok in args.seeds.split(",") if tok.strip())
-    shown = {"n": None, "count": 0}
+    shown = {"n": None}
 
     def progress(n, count):
         if args.json:
             return
         if shown["n"] is None:  # printed late, so rejected options print nothing
-            print(f"tree seeds: {list(seeds)}; pair sample: {args.sample}")
+            print(f"tree seeds: {list(seeds)}")
         if count % 2000 == 0 or count == 1 and n != shown["n"]:
             shown["n"] = n
             print(f"n={n}: {count} graphs checked ...", flush=True)
 
-    summary = verify_corpus(args.n_max, seeds=seeds, pair_sample=args.sample,
-                            cap=args.cap, fail_fast=True, progress=progress)
+    summary = verify_corpus(args.n_max, seeds=seeds, cap=args.cap, fail_fast=True,
+                            progress=progress)
     if args.json:
         out = {
             "n_max": summary.n_max,
             "seeds": list(seeds),
-            "pair_sample": args.sample,
             "graphs": summary.per_n,
             "criteria": {
                 name: {"checked": r.checked, "violations": r.violations}
@@ -408,6 +408,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homrep",
@@ -439,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="exhaustive cross-check on all small graphs")
     p_ver.add_argument("--n-max", type=int, default=6,
                        help="largest vertex count to enumerate (2..6, default 6)")
-    p_ver.add_argument("--sample", type=int, default=200,
-                       help="pairs sampled per graph for the n=6 homomorphism check")
     p_ver.add_argument("--seeds", default="1,2,3,4,5",
                        help="comma-separated seeds for the random-tree kernels")
     p_ver.add_argument("--cap", type=int, default=DEFAULT_CAP)
@@ -458,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphParseError, DisconnectedGraphError, ValueError) as exc:

@@ -33,8 +33,10 @@ class Dart(NamedTuple):
 class Graph:
     """Immutable simple graph: no loops, no parallel edges."""
 
-    # _structure: the block structure, memoised on first use by homrep.blocks
-    __slots__ = ("n", "edges", "_edge_set", "_adj", "_structure")
+    # _hash: computed once, as Automorphism keys hash their graph on every
+    # dict operation; _structure: the block structure, memoised on first
+    # use by homrep.blocks
+    __slots__ = ("n", "edges", "_edge_set", "_adj", "_hash", "_structure")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -54,6 +56,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._hash = hash((n, self.edges))
         self._structure = None
 
     @property
@@ -90,7 +93,7 @@ class Graph:
                 and self.n == other.n and self.edges == other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"

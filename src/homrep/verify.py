@@ -2,7 +2,9 @@
 
 Walks every labeled connected graph up to a vertex bound and checks, per
 graph: the structural verdict against the brute-force kernel, the
-homomorphism and unimodularity of the matrix action, independence of the
+homomorphism and unimodularity of the matrix action (products on a
+generating set of the group, a check that its closure is the whole
+group, and the determinant of every element), independence of the
 kernel from the spanning tree, the structural properties of kernel
 elements, the degree-two shortcut, mod-p kernels, the structure of the
 mod-2 kernel, and the canonical-form detectors against permutation
@@ -12,9 +14,8 @@ acceptance suite run through here.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice, permutations
 
 from .autgroup import automorphism_perms
 from .blocks import (
@@ -33,7 +34,6 @@ from .matrices import IntMatrix, determinant, inverse_unimodular
 from .rep import _gather, _is_kernel_perm, change_of_basis
 
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
-DEFAULT_PAIR_SAMPLE = 200
 MOD2_REPRODUCER_LIMIT = 25
 
 
@@ -75,7 +75,9 @@ class VerificationSummary:
 
 CRITERIA = (
     "classify_oracle",      # verdict agrees with brute-force kernel triviality
-    "homomorphism",         # M(f.g) = M(f) M(g); det +/-1; entries in {-1,0,1}; dart walk
+    "homomorphism",         # M(id) = I; M(f.s) = M(f) M(s) on a generating set whose
+                            # closure is the group; every det +/-1; entries in
+                            # {-1,0,1}; dart walk
     "basis_independence",   # kernel identical under seeded random trees; conjugacy
     "kernel_structure",     # kernel elements fix cycles/blocks/2ec subgraphs
     "min_degree_two",       # no leaves => trivial kernel unless a simple cycle
@@ -109,13 +111,8 @@ def _rotation_perms(g: Graph) -> set[tuple[int, ...]]:
     """All vertex permutations rotating the unique cycle of a cycle graph."""
     verts = unique_cycle(g).vertices()
     m = len(verts)
-    out = set()
-    for s in range(m):
-        perm = [0] * g.n
-        for i, v in enumerate(verts):
-            perm[v] = verts[(i + s) % m]
-        out.add(tuple(perm))
-    return out
+    pos = {v: i for i, v in enumerate(verts)}
+    return {tuple(verts[(pos[v] + s) % m] for v in range(g.n)) for s in range(m)}
 
 
 def _brute_minimal_rotation(g: Graph, perms) -> int | None:
@@ -124,34 +121,19 @@ def _brute_minimal_rotation(g: Graph, perms) -> int | None:
     verts = unique_cycle(g).vertices()
     m = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    best = None
-    for p in perms:
-        img0 = p[verts[0]]
-        s = pos.get(img0)
-        if s is None or s == 0:
-            continue
-        if all(p[verts[i]] == verts[(i + s) % m] for i in range(1, m)):
-            if best is None or s < best:
-                best = s
-    return best
+    return min((s for p in perms if (s := pos.get(p[verts[0]]))
+                and all(p[v] == verts[(i + s) % m] for i, v in enumerate(verts))),
+               default=None)
 
 
 def _brute_root_fixing_symmetry(tree) -> bool:
     """Permutation search for a nontrivial root-fixing tree automorphism."""
     others = sorted(tree.vertices - {tree.root})
-    edge_set = set(tree.edges)
-    for image in permutations(others):
+    edge_set = {e for u, v in tree.edges for e in ((u, v), (v, u))}
+    for image in islice(permutations(others), 1, None):  # the identity comes first
         mapping = dict(zip(others, image))
         mapping[tree.root] = tree.root
-        if all(mapping[v] == v for v in others):
-            continue
-        ok = True
-        for u, v in tree.edges:
-            a, b = mapping[u], mapping[v]
-            if ((a, b) if a < b else (b, a)) not in edge_set:
-                ok = False
-                break
-        if ok:
+        if all((mapping[u], mapping[v]) in edge_set for u, v in tree.edges):
             return True
     return False
 
@@ -190,14 +172,12 @@ class _Stop(Exception):
 
 
 class _Run:
-    def __init__(self, n_max, seeds, pair_sample, cap, sample_seed, fail_fast):
+    def __init__(self, n_max, seeds, cap, fail_fast):
         self.summary = VerificationSummary(n_max=n_max)
         for name in CRITERIA:
             self.summary.result(name)
         self.seeds = seeds
-        self.pair_sample = pair_sample
         self.cap = cap
-        self.sample_seed = sample_seed
         self.fail_fast = fail_fast
 
     def record(self, name: str, ok: bool, g: Graph, detail: str | None) -> None:
@@ -217,7 +197,49 @@ class _Run:
             raise _Stop
 
 
-def _check_graph(g: Graph, idx: int, run: _Run) -> None:
+def _generators(perms) -> list[tuple[int, ...]]:
+    """The first permutation of perms for each (first moved point i,
+    image p[i]): on the search's lexicographic list of a group, Sims's
+    transversals for the base 0..n-1 (Seress 2003, ch. 4)."""
+    first = {}
+    for p in perms:
+        moved = [(v, w) for v, w in enumerate(p) if v != w]
+        if moved:
+            first.setdefault(moved[0], p)
+    return list(first.values())
+
+
+def _check_homomorphism(g: Graph, perms, mats, gens, run: _Run) -> None:
+    """M(id) = I, det M(p) = +/-1 on perms, and M(f.s) = M(f) M(s) for
+    each s in gens and each f that a breadth-first walk from the identity
+    along gens reaches; the walk must reach all of perms.  By induction
+    on word length, M(f.h) = M(f) M(h) for all f, h in the group."""
+    ident = tuple(range(g.n))
+    reached = [ident] if ident in mats else []
+    run.record("homomorphism", bool(reached) and mats[ident].is_identity(), g,
+               "matrix of the identity is not the identity matrix")
+    for p in perms:
+        run.record("homomorphism", abs(determinant(mats[p])) == 1, g,
+                   "matrix determinant is not +/-1")
+    seen = set(reached)
+    for f in reached:
+        mf = mats[f]
+        for s in gens:
+            fs = tuple(map(f.__getitem__, s))
+            if fs not in mats:
+                run.record("homomorphism", False, g,
+                           "a composite of automorphisms is outside the searched group")
+                continue
+            run.record("homomorphism", mats[fs] == mf @ mats[s], g,
+                       "matrix of a composite differs from the matrix product")
+            if fs not in seen:
+                seen.add(fs)
+                reached.append(fs)
+    run.record("homomorphism", len(reached) == len(perms), g,
+               f"the generators reach {len(reached)} of {len(perms)} automorphisms")
+
+
+def _check_graph(g: Graph, run: _Run) -> None:
     s = run.summary
     b = spanning_tree_basis(g)
     beta = b.beta
@@ -232,34 +254,24 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
         cycle_coordinates(c, b) == unit[j] for j, c in enumerate(b.fundamental_cycles()))
     run.record("cycle_basis", ok, g, "fundamental cycle coordinates are not unit vectors")
 
-    # block properties: P1, P2, centre
+    # block properties: P1, P2, centre; the last failure found is reported
     d = block_decomposition(g)
-    ok = True
-    detail = ""
-    for i in range(len(d.blocks)):
-        for j in range(i + 1, len(d.blocks)):
-            if len(d.blocks[i] & d.blocks[j]) > 1:
-                ok = False
-                detail = "two blocks share more than one vertex"
+    detail = None
+    if any(len(x & y) > 1 for i, x in enumerate(d.blocks) for y in d.blocks[i + 1:]):
+        detail = "two blocks share more than one vertex"
     all_block_edges = [e for es in d.block_edges for e in es]
     if len(all_block_edges) != g.num_edges or set(all_block_edges) != set(g.edges):
-        ok = False
         detail = "block edges do not partition the edge set"
     if d.blocks:
         try:
             bt = block_tree(d)
-            degree = [0] * len(bt.nodes)
-            for i, j in bt.edges:
-                degree[i] += 1
-                degree[j] += 1
-            for i, node in enumerate(bt.nodes):
-                if degree[i] <= 1 and len(bt.nodes) > 1 and node.kind != "block":
-                    ok = False
-                    detail = "block tree has a cutvertex leaf"
+            ends = [x for edge in bt.edges for x in edge]
+            if len(bt.nodes) > 1 and any(node.kind != "block" and ends.count(i) <= 1
+                                         for i, node in enumerate(bt.nodes)):
+                detail = "block tree has a cutvertex leaf"
         except RuntimeError as exc:
-            ok = False
-            detail = str(exc)
-    run.record("block_properties", ok, g, detail or "block structure violation")
+            detail = str(exc) or "block structure violation"
+    run.record("block_properties", detail is None, g, detail)
 
     # criterion 1: classifier vs brute-force kernel
     verdict = classify(g)
@@ -293,29 +305,13 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
         run.record("fast_path", fast.faithful == verdict.faithful, g,
                    "degree-two shortcut disagrees with classifier")
 
-    # criterion 2: homomorphism, determinant, entry range; the gather against the walk
+    # criterion 2: entry range, the gather against the walk, homomorphism, determinants
     entries_ok = all(abs(x) <= 1 for p in perms for row in mats[p].rows for x in row)
     walk_ok = all(mats[p].rows == tuple(zip(*_walk_columns(p, b))) for p in perms)
     run.record("homomorphism", entries_ok and walk_ok, g,
                "matrix entry outside {-1,0,1}" if not entries_ok
                else "gathered matrix differs from the dart walk")
-    order = len(perms)
-    if g.n <= 5 or order * order <= run.pair_sample:
-        pairs = [(f, h) for f in perms for h in perms]
-        det_perms = perms
-    else:
-        rng = random.Random((run.sample_seed << 24) ^ (g.n << 20) ^ idx)
-        pairs = [(perms[rng.randrange(order)], perms[rng.randrange(order)])
-                 for _ in range(run.pair_sample)]
-        det_perms = sorted({p for pair in pairs for p in pair})
-    for p in det_perms:
-        run.record("homomorphism", abs(determinant(mats[p])) == 1, g,
-                   "matrix determinant is not +/-1")
-    for f, h in pairs:
-        fh = tuple(f[h[v]] for v in range(g.n))
-        ok = mats[fh] == mats[f] @ mats[h]
-        run.record("homomorphism", ok, g,
-                   "matrix of a composite differs from the matrix product")
+    _check_homomorphism(g, perms, mats, _generators(perms), run)
 
     # criterion 3: kernel does not depend on the spanning tree
     for seed in run.seeds:
@@ -388,28 +384,31 @@ def _check_graph(g: Graph, idx: int, run: _Run) -> None:
                    f"symmetry flag disagrees with search at root {tree.root}")
 
 
-def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS,
-                  pair_sample: int = DEFAULT_PAIR_SAMPLE, cap: int = 10 ** 6,
+def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS, cap: int = 10 ** 6,
                   sample_seed: int = 7, fail_fast: bool = False,
                   progress=None) -> VerificationSummary:
     """Run every per-graph check over all labeled connected graphs with
     2 <= n <= n_max vertices.  n_max is capped at 6; seeds must be
-    nonempty and pair_sample positive, so that no criterion is vacuous."""
+    nonempty, so that no criterion is vacuous.
+
+    The homomorphism criterion covers every pair of elements of every
+    group: products on a generating set, a check that the set's closure
+    is the whole group, and the determinant of every element.
+    sample_seed is accepted and ignored; it seeded the pair sample that
+    this check replaced, and the benchmark harness still passes it."""
     if not 2 <= n_max <= 6:
         raise ValueError(f"verification supports 2 <= n_max <= 6, got {n_max}")
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("at least one tree seed is needed for basis_independence")
-    if pair_sample < 1:
-        raise ValueError(f"pair sample must be at least 1, got {pair_sample}")
-    run = _Run(n_max, seeds, pair_sample, cap, sample_seed, fail_fast)
+    run = _Run(n_max, seeds, cap, fail_fast)
     s = run.summary
     try:
         for n in range(2, n_max + 1):
             for idx, g in enumerate(enumerate_connected_graphs(n)):
                 s.per_n[n] = idx + 1
                 s.graphs_total += 1
-                _check_graph(g, idx, run)
+                _check_graph(g, run)
                 if progress is not None:
                     progress(n, idx + 1)
     except _Stop:

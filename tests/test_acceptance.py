@@ -26,7 +26,10 @@ from homrep import (
     spanning_tree_basis,
     verify_corpus,
 )
-from homrep.verify import _kernel_structure_check
+from homrep.autgroup import automorphism_perms
+from homrep.matrices import IntMatrix
+from homrep.rep import _gather
+from homrep.verify import _Run, _check_homomorphism, _generators, _kernel_structure_check
 from helpers import (
     all_increasing_parent_arrays,
     brute_force_automorphisms,
@@ -47,7 +50,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def summary():
-    return verify_corpus(6, seeds=(1, 2, 3, 4, 5), pair_sample=200)
+    return verify_corpus(6, seeds=(1, 2, 3, 4, 5))
 
 
 def _criterion(summary, name):
@@ -70,6 +73,63 @@ def test_criterion_2_homomorphism_into_unimodular_matrices(summary):
     report("criterion 2: products, determinants and entries of the matrix "
            "action", r.violations == 0, f"{r.checked} checks")
     assert r.violations == 0, r.first_detail
+
+
+K33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+K24 = Graph(6, [(i, j) for i in range(2) for j in range(2, 6)])
+
+
+def _homomorphism_check(g, perms, mats, gens):
+    """The homomorphism criterion on its own, on hand-built matrices."""
+    run = _Run(6, (1,), 10 ** 6, False)
+    _check_homomorphism(g, perms, mats, gens, run)
+    return run.summary.criteria["homomorphism"]
+
+
+def _matrices(g, perms):
+    b = spanning_tree_basis(g)
+    return {p: IntMatrix(_gather(p, b)) for p in perms}
+
+
+@pytest.mark.parametrize("g", [named_family("complete", 6), K33], ids=["K6", "K33"])
+def test_criterion_2_product_check_reaches_non_generators(g):
+    # groups whose |G|^2 pairs are far more than the verifier checks: a
+    # wrong matrix on an element outside the generating set is still seen
+    perms = automorphism_perms(g)
+    gens = _generators(perms)
+    mats = _matrices(g, perms)
+    r = _homomorphism_check(g, perms, mats, gens)
+    assert r.violations == 0
+    assert r.checked == 1 + len(perms) + len(perms) * len(gens) + 1
+    victim = next(p for p in reversed(perms) if p not in gens)
+    # the negated matrix keeps its entries in {-1,0,1} and its determinant +/-1
+    mats[victim] = IntMatrix(tuple(tuple(-x for x in row) for row in mats[victim].rows))
+    r = _homomorphism_check(g, perms, mats, gens)
+    report(f"criterion 2: a corrupt non-generator matrix is caught ({len(perms)} elements, "
+           f"{len(gens)} generators)", r.violations > 0, f"{r.violations} violations")
+    assert r.violations > 0
+    assert r.first_detail.startswith("matrix of a composite differs from the matrix product")
+
+
+def test_criterion_2_generators_must_generate_the_group():
+    # K_{2,4}: only one generator moves vertex 0, so without it the walk
+    # stays in the stabiliser of 0, a subgroup of index 2
+    perms = automorphism_perms(K24)
+    gens = _generators(perms)
+    dropped = [p for p in gens if p[0] == 0]
+    assert len(dropped) == len(gens) - 1
+    r = _homomorphism_check(K24, perms, _matrices(K24, perms), dropped)
+    assert r.violations == 1
+    assert r.first_detail.startswith(f"the generators reach {len(perms) // 2} of {len(perms)}")
+
+
+def test_criterion_2_composite_outside_the_list_is_reported():
+    # a rotation of the triangle without its square: not a group
+    g = named_family("cycle", 3)
+    perms = [(0, 1, 2), (1, 2, 0)]
+    r = _homomorphism_check(g, perms, _matrices(g, perms), perms[1:])
+    assert r.violations == 1
+    assert r.first_detail.startswith("a composite of automorphisms is outside the searched group")
 
 
 def test_criterion_3_spanning_tree_independence(summary):

@@ -228,18 +228,28 @@ class TestVerify:
         assert code == 2 and "n_max" in err
 
     @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
-    @pytest.mark.parametrize("flags", [("--seeds", ","), ("--seeds", ""), ("--sample", "0"),
-                                       ("--sample", "-1")], ids=["seeds-comma", "seeds-empty",
-                                                                  "sample-0", "sample-neg"])
+    @pytest.mark.parametrize("flags", [("--seeds", ","), ("--seeds", "")],
+                             ids=["seeds-comma", "seeds-empty"])
     def test_vacuous_options_exit_2(self, capsys, flags, mode):
         code, out, err = run_cli(capsys, "verify", "--n-max", "4", *flags, *mode)
         assert code == 2 and out == "" and err.startswith("error: ")
 
-    @pytest.mark.parametrize("kwargs", [{"seeds": ()}, {"pair_sample": 0}],
-                             ids=["seeds", "pair_sample"])
+    @pytest.mark.parametrize("kwargs", [{"seeds": ()}], ids=["seeds"])
     def test_verify_corpus_rejects_vacuous_options(self, kwargs):
         with pytest.raises(ValueError):
             homrep.verify_corpus(3, **kwargs)
+
+    def test_verify_corpus_accepts_the_benchmark_call(self):
+        # the benchmark harness calls verify_corpus(6, sample_seed=..., progress=...);
+        # sample_seed is ignored, and progress sees every graph
+        seen = []
+        counts = {name: (r.checked, r.violations)
+                  for name, r in homrep.verify_corpus(3).criteria.items()}
+        summary = homrep.verify_corpus(3, sample_seed=11,
+                                       progress=lambda n, count: seen.append((n, count)))
+        assert {name: (r.checked, r.violations)
+                for name, r in summary.criteria.items()} == counts
+        assert seen == [(2, 1), (3, 1), (3, 2), (3, 3), (3, 4)]
 
     def test_gather_checked_against_dart_walk(self, capsys, monkeypatch):
         # a transposed gather keeps every kernel, so the kernel criteria
@@ -453,13 +463,32 @@ class TestJson:
             print_json_output({(1, 2): 3})
 
 
-def test_module_entry_point():
+def run_child(*argv):
     # the child interpreter imports the package under test, also when only
     # pytest's `pythonpath` setting put it on sys.path
     src = os.path.dirname(os.path.dirname(homrep.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "homrep", "classify", "--family", "complete", "4"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "homrep", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = run_child("classify", "--family", "complete", "4")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "faithful"
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # one parser serves every main call in a process; no call may see
+    # another's subcommand, flags or defaults
+    runs = [("rep", "--family", "cycle", "4", "--tree", "rand", "--seed", "3", "--mod-p", "3"),
+            ("classify", "--family", "path", "5", "--json"),
+            ("rep", "--family", "cycle", "4", "--kernel-only"),
+            ("info", "--family", "bowtie", "5"),
+            ("verify", "--n-max", "3", "--seeds", "2"),
+            ("rep", "--family", "cycle", "x")]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        proc = run_child(*argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert homrep.cli.build_parser() is homrep.cli.build_parser()

@@ -45,6 +45,11 @@ class TestGraph:
         a = Graph(3, [(0, 1), (1, 2)])
         b = Graph(3, [(1, 2), (0, 1)])
         assert a == b and hash(a) == hash(b)
+        # the hash is taken once, at construction, of the normalised edges
+        c = parse_edge_list("2 1\n1 0\n0 1\n")
+        assert c == a and hash(c) == hash(a)
+        assert {a: "x"}[c] == "x"
+        assert Graph(4, [(0, 1), (1, 2)]) != a and Graph(3, [(0, 1), (0, 2)]) != a
 
 
 class TestParseEdgeList:
