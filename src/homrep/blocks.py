@@ -1,25 +1,27 @@
 """Block structure of a connected graph.
 
-One structure pass per graph, memoised on the immutable Graph, computes
-blocks (maximal 2-connected subgraphs), cutvertices and bridges,
-2-edge-connected components, the unique cycle, and the forest that
-hangs from the roots left by peeling leaves: a tree's centre, or any
-other graph's 2-core.  That forest is labelled once with integer AHU
-labels, and its labels answer the rooted-tree questions: pendant trees
-and their rigidity, and detection of unicyclic graphs whose unique cycle
-admits a nontrivial rotation, where the tree hanging from a cycle vertex
-is its pendant tree, or the bare vertex, whose label is the leaf label.
-Also here: the bipartite block tree, canonical codes and explicit
+One structure per graph, memoised on the immutable Graph, is built in
+parts.  First, and always: one leaf peel, which leaves a tree's centre
+or any other graph's 2-core, the unique cycle when there is one, and one
+integer AHU labelling of the forest hanging from what the peel leaves.
+Its labels answer the rooted-tree questions: pendant trees and their
+rigidity, and detection of unicyclic graphs whose unique cycle admits a
+nontrivial rotation, where the tree hanging from a cycle vertex is its
+pendant tree, or the bare vertex, whose label is the leaf label.  On
+first use: blocks (maximal 2-connected subgraphs), cutvertices and
+bridges by the lowpoint search, 2-edge-connected components, and the
+pendant trees' vertex and edge sets.  classify reads only the first
+part.  Also here: the bipartite block tree, canonical codes and explicit
 isomorphisms of rooted trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cycles import OrientedCycle
-from .errors import DisconnectedGraphError
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_connected, require_connected
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,10 @@ class BlockDecomposition:
         return tuple(b for b in self.blocks if len(b) >= 3)
 
 
-def _lowpoint_blocks(g: Graph) -> BlockDecomposition:
-    """Standard lowpoint (depth-first) biconnected-components algorithm;
-    rejects a graph the search does not cover."""
-    n = g.n
+def _lowpoint_blocks(adj) -> BlockDecomposition:
+    """Standard lowpoint (depth-first) biconnected-components algorithm,
+    on the neighbour lists adj of a connected graph."""
+    n = len(adj)
     if n < 2:
         return BlockDecomposition((), (), frozenset(), frozenset())
 
@@ -58,7 +60,7 @@ def _lowpoint_blocks(g: Graph) -> BlockDecomposition:
     stack = [0]
     while stack:
         v = stack[-1]
-        nbrs = g.neighbors(v)
+        nbrs = adj[v]
         if next_nbr[v] < len(nbrs):
             w = nbrs[next_nbr[v]]
             next_nbr[v] += 1
@@ -86,8 +88,6 @@ def _lowpoint_blocks(g: Graph) -> BlockDecomposition:
                         if e == (u, v):
                             break
                     raw_blocks.append(block)
-    if timer < n:
-        raise DisconnectedGraphError("graph is not connected")
 
     blocks = []
     for raw in raw_blocks:
@@ -221,102 +221,96 @@ class PendantTree:
         return adj
 
 
-@dataclass(frozen=True)
 class _Structure:
-    """Everything the structure pass computes for one connected graph.
+    """The structure of one connected graph, built in parts.
 
-    roots are what _peel leaves: the centre of a tree, else the 2-core,
-    in the unique cycle's order when beta = 1.  labels and children
-    label the forest hanging from them (see _subtree_labels), and
-    symmetric[label] tells whether that label's rooted tree has a
-    nontrivial root-fixing automorphism (see _symmetric_labels).
+    The constructor checks connectivity, peels leaves and labels once
+    the forest hanging from what the peel leaves, roots: the centre of a
+    tree, else the 2-core, in the order of the unique cycle when
+    beta = 1.  labels and children label that forest (see
+    _subtree_labels), and symmetric[label] tells whether that label's
+    rooted tree has a nontrivial root-fixing automorphism (see
+    _symmetric_labels).  Off a tree, every vertex outside the 2-core has
+    one path to it, so a core vertex's descendants are the acyclic
+    components of g - root attached to it by one edge: its pendant tree.
+
+    blocks, two_edge_components and pendant_trees are built the first
+    time they are read; classify and its witnesses read none of them.
     """
 
-    blocks: BlockDecomposition
-    two_edge_components: tuple[frozenset[int], ...]
-    roots: tuple[int, ...]
-    labels: dict[int, int]
-    children: dict[int, list[int]]
-    symmetric: list[bool]
-    pendant_trees: tuple[PendantTree, ...]
-    cycle: OrientedCycle | None  # the unique cycle when beta = 1
+    def __init__(self, g: Graph):
+        require_connected(g)
+        adj = self._adj = g._adj
+        self._tree = g.num_edges < g.n
+        roots = _peel(adj)
+        self.cycle = None  # the unique cycle when beta = 1
+        if g.num_edges == g.n:
+            # from the smallest cycle vertex toward its smaller cycle neighbor
+            on_cycle = [False] * g.n
+            for v in roots:
+                on_cycle[v] = True
+            seq = [roots[0], min(y for y in adj[roots[0]] if on_cycle[y])]
+            while len(seq) < len(roots):
+                seq.append(next(y for y in adj[seq[-1]] if on_cycle[y] and y != seq[-2]))
+            self.cycle = OrientedCycle(list(zip(seq, seq[1:] + seq[:1])))
+            roots = seq
+        self.roots = tuple(roots)
+        table: dict[tuple[int, ...], int] = {}
+        self.labels, self.children = _subtree_labels(adj, roots, table)
+        self.symmetric = _symmetric_labels(table)
 
     def is_symmetric(self, v: int) -> bool:
         """Whether the tree hanging from v has a nontrivial automorphism
         fixing v."""
         return self.symmetric[self.labels[v]]
 
+    @cached_property
+    def blocks(self) -> BlockDecomposition:
+        return _lowpoint_blocks(self._adj)
 
-def _structure_pass(g: Graph) -> _Structure:
-    """Blocks by the lowpoint DFS, one pass over g without bridges, then
-    the forest hanging from the roots that _peel leaves, labelled once.
+    @cached_property
+    def two_edge_components(self) -> tuple[frozenset[int], ...]:
+        """One pass over the graph without its bridges."""
+        adj = self._adj
+        bridges = self.blocks.bridges
+        comp_of = [-1] * len(adj)
+        comps = []
+        for start in range(len(adj)):
+            if comp_of[start] >= 0:
+                continue
+            comp_of[start] = len(comps)
+            comp = [start]
+            for x in comp:
+                for y in adj[x]:
+                    if comp_of[y] < 0 and ((x, y) if x < y else (y, x)) not in bridges:
+                        comp_of[y] = len(comps)
+                        comp.append(y)
+            comps.append(frozenset(comp))
+        return tuple(comps)
 
-    Off a tree, every vertex outside the 2-core has one path to it, so a
-    core vertex's descendants are the acyclic components of g - root
-    attached to it by one edge: its pendant tree.  When beta = 1 the
-    2-core is the unique cycle."""
-    d = _lowpoint_blocks(g)
-    n = g.n
-    bridges = d.bridges
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if comp_of[start] >= 0:
-            continue
-        comp_of[start] = len(comps)
-        comp = [start]
-        for x in comp:
-            for y in g.neighbors(x):
-                if comp_of[y] < 0 and ((x, y) if x < y else (y, x)) not in bridges:
-                    comp_of[y] = len(comps)
-                    comp.append(y)
-        comps.append(comp)
-
-    adj = g._adj
-    roots = _peel(adj)
-    cycle = None
-    if g.num_edges == n:
-        # from the smallest cycle vertex toward its smaller cycle neighbor
-        on_cycle = [False] * n
-        for v in roots:
-            on_cycle[v] = True
-        seq = [roots[0], min(y for y in adj[roots[0]] if on_cycle[y])]
-        while len(seq) < len(roots):
-            seq.append(next(y for y in adj[seq[-1]] if on_cycle[y] and y != seq[-2]))
-        cycle = OrientedCycle(list(zip(seq, seq[1:] + seq[:1])))
-        roots = seq
-    table: dict[tuple[int, ...], int] = {}
-    labels, children = _subtree_labels(adj, roots, table)
-
-    trees = []
-    if g.num_edges >= n:  # a tree's roots are its centre, not a 2-core
-        for w in sorted(roots):
-            if children[w]:
+    @cached_property
+    def pendant_trees(self) -> tuple[PendantTree, ...]:
+        if self._tree:  # a tree's roots are its centre, not a 2-core
+            return ()
+        trees = []
+        for w in sorted(self.roots):
+            if self.children[w]:
                 verts = [w]
                 edges = []
                 for x in verts:
-                    for c in children[x]:
+                    for c in self.children[x]:
                         verts.append(c)
                         edges.append((x, c) if x < c else (c, x))
                 trees.append(PendantTree(root=w, vertices=frozenset(verts),
                                          edges=tuple(sorted(edges))))
-
-    return _Structure(
-        blocks=d,
-        two_edge_components=tuple(frozenset(c) for c in comps),
-        roots=tuple(roots),
-        labels=labels,
-        children=children,
-        symmetric=_symmetric_labels(table),
-        pendant_trees=tuple(trees),
-        cycle=cycle)
+        return tuple(trees)
 
 
 def _structure(g: Graph) -> _Structure:
-    """The structure pass of g, run on first use and kept on g."""
+    """The structure of g, made on first use and kept on g."""
     s = g._structure
     if s is None:
-        s = g._structure = _structure_pass(g)
+        s = g._structure = _Structure(g)
     return s
 
 

@@ -28,7 +28,7 @@ from .classify import classify
 from .cycles import betti, random_spanning_tree_basis, spanning_tree_basis
 from .errors import CapacityError, DisconnectedGraphError, GraphParseError
 from .families import RootedTreeSpec, build_periodic_unicyclic, named_family
-from .graphs import Graph, format_edge_list, parse_edge_list, parse_graph6, require_connected
+from .graphs import Graph, format_edge_list, parse_edge_list, parse_graph6
 from .matrices import IntMatrix, is_prime
 from .rep import representation
 from .verify import verify_corpus
@@ -273,7 +273,6 @@ def cmd_rep(args) -> int:
     if args.mod_p is not None and not is_prime(args.mod_p):
         raise ValueError(f"{args.mod_p} is not prime")
     g = _load_graph(args)
-    require_connected(g)
     b = _basis(args, g)
     report = representation(g, b, cap=args.cap)
     if args.kernel_only:
@@ -353,8 +352,7 @@ def cmd_verify(args) -> int:
             shown["n"] = n
             print(f"n={n}: {count} graphs checked ...", flush=True)
 
-    summary = verify_corpus(args.n_max, seeds=seeds, cap=args.cap, fail_fast=True,
-                            progress=progress)
+    summary = verify_corpus(args.n_max, seeds=seeds, fail_fast=True, progress=progress)
     if args.json:
         out = {
             "n_max": summary.n_max,
@@ -442,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest vertex count to enumerate (2..6, default 6)")
     p_ver.add_argument("--seeds", default="1,2,3,4,5",
                        help="comma-separated seeds for the random-tree kernels")
-    p_ver.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -34,8 +34,8 @@ class Graph:
     """Immutable simple graph: no loops, no parallel edges."""
 
     # _hash: computed once, as Automorphism keys hash their graph on every
-    # dict operation; _structure: the block structure, memoised on first
-    # use by homrep.blocks
+    # dict operation; _structure: the structure homrep.blocks builds on
+    # first use and keeps here
     __slots__ = ("n", "edges", "_edge_set", "_adj", "_hash", "_structure")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -97,22 +97,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
-
-
-def _reachable_all(n: int, masks: list[int]) -> bool:
-    # bitset BFS from vertex 0
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= masks[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
 
 
 def is_connected(g: Graph) -> bool:
@@ -257,14 +241,6 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     all_edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = len(all_edges)
     for mask in range(1 << m):
-        masks = [0] * n
-        k = mask
-        while k:
-            low = k & -k
-            u, v = all_edges[low.bit_length() - 1]
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-            k ^= low
-        if not _reachable_all(n, masks):
-            continue
-        yield Graph(n, [all_edges[b] for b in range(m) if mask >> b & 1])
+        g = Graph(n, [all_edges[b] for b in range(m) if mask >> b & 1])
+        if is_connected(g):
+            yield g

@@ -25,6 +25,7 @@ from .blocks import (
     is_periodic_unicyclic,
     is_simple_cycle_graph,
     pendant_trees,
+    two_edge_connected_components,
     unique_cycle,
 )
 from .classify import classify, classify_fast_2edge, witness_kernel_element
@@ -148,9 +149,8 @@ def _kernel_structure_check(g: Graph, b):
     # the vertices of two cycles that meet: a kernel element fixes them all
     pinned = {x for i, vi in enumerate(vert_sets) for vj in vert_sets[i + 1:]
               if vi & vj for x in vi | vj}
-    structure = _structure(g)
-    blocks = structure.blocks.nontrivial_blocks()
-    non_cycles = [comp for comp in structure.two_edge_components if len(comp) >= 3
+    blocks = block_decomposition(g).nontrivial_blocks()
+    non_cycles = [comp for comp in two_edge_connected_components(g) if len(comp) >= 3
                   and any(sum(y in comp for y in g.neighbors(x)) != 2 for x in comp)]
 
     def first_violation(p) -> str | None:
@@ -172,12 +172,11 @@ class _Stop(Exception):
 
 
 class _Run:
-    def __init__(self, n_max, seeds, cap, fail_fast):
+    def __init__(self, n_max, seeds, fail_fast):
         self.summary = VerificationSummary(n_max=n_max)
         for name in CRITERIA:
             self.summary.result(name)
         self.seeds = seeds
-        self.cap = cap
         self.fail_fast = fail_fast
 
     def record(self, name: str, ok: bool, g: Graph, detail: str | None) -> None:
@@ -244,7 +243,7 @@ def _check_graph(g: Graph, run: _Run) -> None:
     b = spanning_tree_basis(g)
     beta = b.beta
     unit = IntMatrix.identity(beta).rows
-    perms = automorphism_perms(g, run.cap)
+    perms = automorphism_perms(g)
     mats = {p: IntMatrix(_gather(p, b)) for p in perms}
     kernel = [p for p in perms if mats[p].is_identity()]
     kernel_set = set(kernel)
@@ -384,8 +383,7 @@ def _check_graph(g: Graph, run: _Run) -> None:
                    f"symmetry flag disagrees with search at root {tree.root}")
 
 
-def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS, cap: int = 10 ** 6,
-                  sample_seed: int = 7, fail_fast: bool = False,
+def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS, sample_seed: int = 7, fail_fast: bool = False,
                   progress=None) -> VerificationSummary:
     """Run every per-graph check over all labeled connected graphs with
     2 <= n <= n_max vertices.  n_max is capped at 6; seeds must be
@@ -401,7 +399,7 @@ def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS, cap: int = 10 ** 6,
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("at least one tree seed is needed for basis_independence")
-    run = _Run(n_max, seeds, cap, fail_fast)
+    run = _Run(n_max, seeds, fail_fast)
     s = run.summary
     try:
         for n in range(2, n_max + 1):

@@ -81,7 +81,7 @@ K24 = Graph(6, [(i, j) for i in range(2) for j in range(2, 6)])
 
 def _homomorphism_check(g, perms, mats, gens):
     """The homomorphism criterion on its own, on hand-built matrices."""
-    run = _Run(6, (1,), 10 ** 6, False)
+    run = _Run(6, (1,), False)
     _check_homomorphism(g, perms, mats, gens, run)
     return run.summary.criteria["homomorphism"]
 

@@ -18,6 +18,7 @@ from homrep import (
     pendant_trees,
     two_edge_connected_components,
     unique_cycle,
+    verify_corpus,
     witness_kernel_element,
     RootedTreeSpec,
 )
@@ -222,19 +223,29 @@ class TestAgainstReference:
 
 class TestStructurePass:
     def test_runs_once_per_graph(self, monkeypatch):
-        calls = []
-        real = blocks._structure_pass
-        monkeypatch.setattr(blocks, "_structure_pass",
-                            lambda g: calls.append(g) or real(g))
+        # the verdict needs no blocks; they are built once, on first read,
+        # and the 2-edge-connected components reuse them
+        counts = {"_lowpoint_blocks": 0, "_subtree_labels": 0}
+        for name in counts:
+            def counting(*args, real=getattr(blocks, name), name=name):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(blocks, name, counting)
         graphs = [decorated_square(), Graph(6, [(0, 1), (0, 2), (1, 2),
                                                 (0, 3), (3, 4), (3, 5)])]
-        for g in graphs:
+        for i, g in enumerate(graphs):
             verdict = classify(g)
             assert witness_kernel_element(g, verdict) is not None
             pendant_trees(g)
+            assert counts == {"_lowpoint_blocks": i, "_subtree_labels": i + 1}
             block_decomposition(g)
             two_edge_connected_components(g)
-        assert calls == graphs
+            block_decomposition(g)
+            assert counts == dict.fromkeys(counts, i + 1)
+        # a verify run reads everything, and still builds each part once
+        summary = verify_corpus(4)
+        assert summary.ok
+        assert counts == dict.fromkeys(counts, len(graphs) + summary.graphs_total)
 
 
 class TestAhuCode:

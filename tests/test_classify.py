@@ -103,7 +103,10 @@ class TestClassify:
     def test_disconnected_rejected(self):
         # the structure accessors reject it too; nothing is memoised for
         # a disconnected graph, so asking twice raises twice
-        for g in (Graph(4, [(0, 1), (2, 3)]), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])):
+        # the peel leaves every vertex of two disjoint triangles, so a
+        # search from what it leaves would reach all of them
+        for g in (Graph(4, [(0, 1), (2, 3)]), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+                  Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])):
             for fn in (classify, witness_kernel_element, block_decomposition,
                        two_edge_connected_components, pendant_trees,
                        unique_cycle, is_periodic_unicyclic, classify):
@@ -234,6 +237,7 @@ class TestHangingTreesLabelledOnce:
     ], ids=["tree", "bridge-path", "periodic", "faithful-core", "cherry-on-cycle",
             "faithful-unicyclic", "long-tail"])
     def test_one_labelling_per_graph(self, monkeypatch, build, reason):
+        # and no blocks: the verdict and its witness need none
         calls = []
         label = blocks._subtree_labels
 
@@ -241,6 +245,10 @@ class TestHangingTreesLabelledOnce:
             calls.append(args[1])
             return label(*args)
         monkeypatch.setattr(blocks, "_subtree_labels", counting)
+        lowpoint = []
+        real = blocks._lowpoint_blocks
+        monkeypatch.setattr(blocks, "_lowpoint_blocks",
+                            lambda adj: lowpoint.append(adj) or real(adj))
         # the package's `classify` attribute is the function, not the module;
         # the patch there also counts a labelling imported into it
         monkeypatch.setattr(importlib.import_module("homrep.classify"),
@@ -251,7 +259,7 @@ class TestHangingTreesLabelledOnce:
         assert (witness_kernel_element(g, v) is None) == v.faithful
         is_periodic_unicyclic(g)
         pendant_trees(g)
-        assert len(calls) == 1
+        assert len(calls) == 1 and lowpoint == []
 
     def test_smallest_symmetric_root_wins(self):
         # cherries hang from cycle vertices 3 and 1 of a square

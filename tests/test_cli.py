@@ -72,11 +72,16 @@ class TestInfo:
         code, out, _ = run_cli(capsys, "classify", "--input", str(path), "--json")
         assert json.loads(out)["witness"] == {"root": root}
 
-    def test_disconnected_input_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", ["0 1\n2 3\n", "0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"],
+                             ids=["two-edges", "two-triangles"])
+    @pytest.mark.parametrize("argv", [("info",), ("classify",), ("rep",),
+                                      ("rep", "--tree", "rand")],
+                             ids=["info", "classify", "rep", "rep-rand"])
+    def test_disconnected_input_exit_2(self, capsys, tmp_path, argv, text):
         path = tmp_path / "d.txt"
-        path.write_text("0 1\n2 3\n")
-        code, _, err = run_cli(capsys, "info", "--input", str(path))
-        assert code == 2 and "connected" in err
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert (code, out, err) == (2, "", "error: graph is not connected\n")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "info", "--input", "/no/such/file")
