@@ -2,17 +2,18 @@
 
 One structure per graph, memoised on the immutable Graph, is built in
 parts.  First, and always: one leaf peel, which leaves a tree's centre
-or any other graph's 2-core, the unique cycle when there is one, and one
-integer AHU labelling of the forest hanging from what the peel leaves.
-Its labels answer the rooted-tree questions: pendant trees and their
-rigidity, and detection of unicyclic graphs whose unique cycle admits a
-nontrivial rotation, where the tree hanging from a cycle vertex is its
-pendant tree, or the bare vertex, whose label is the leaf label.  On
-first use: blocks (maximal 2-connected subgraphs), cutvertices and
-bridges by the lowpoint search, 2-edge-connected components, and the
-pendant trees' vertex and edge sets.  classify reads only the first
-part.  Also here: the bipartite block tree, canonical codes and explicit
-isomorphisms of rooted trees.
+or any other graph's 2-core, in cycle order when there is a unique
+cycle, and one integer AHU labelling of the forest hanging from what
+the peel leaves.  Its labels answer the rooted-tree questions: pendant
+trees and their rigidity, and detection of unicyclic graphs whose
+unique cycle admits a nontrivial rotation, where the tree hanging from
+a cycle vertex is its pendant tree, or the bare vertex, whose label is
+the leaf label.  On first use: the unique cycle as an OrientedCycle,
+blocks (maximal 2-connected subgraphs), cutvertices and bridges by the
+lowpoint search, 2-edge-connected components, and the pendant trees'
+vertex and edge sets.  classify reads only the first part.  Also here:
+the bipartite block tree, canonical codes and explicit isomorphisms of
+rooted trees.
 """
 
 from __future__ import annotations
@@ -234,17 +235,18 @@ class _Structure:
     one path to it, so a core vertex's descendants are the acyclic
     components of g - root attached to it by one edge: its pendant tree.
 
-    blocks, two_edge_components and pendant_trees are built the first
-    time they are read; classify and its witnesses read none of them.
+    cycle, blocks, two_edge_components and pendant_trees are built the
+    first time they are read; classify and its witnesses read none of
+    them.
     """
 
     def __init__(self, g: Graph):
         require_connected(g)
         adj = self._adj = g._adj
         self._tree = g.num_edges < g.n
+        self._unicyclic = g.num_edges == g.n
         roots = _peel(adj)
-        self.cycle = None  # the unique cycle when beta = 1
-        if g.num_edges == g.n:
+        if self._unicyclic:
             # from the smallest cycle vertex toward its smaller cycle neighbor
             on_cycle = [False] * g.n
             for v in roots:
@@ -252,7 +254,6 @@ class _Structure:
             seq = [roots[0], min(y for y in adj[roots[0]] if on_cycle[y])]
             while len(seq) < len(roots):
                 seq.append(next(y for y in adj[seq[-1]] if on_cycle[y] and y != seq[-2]))
-            self.cycle = OrientedCycle(list(zip(seq, seq[1:] + seq[:1])))
             roots = seq
         self.roots = tuple(roots)
         table: dict[tuple[int, ...], int] = {}
@@ -263,6 +264,14 @@ class _Structure:
         """Whether the tree hanging from v has a nontrivial automorphism
         fixing v."""
         return self.symmetric[self.labels[v]]
+
+    @cached_property
+    def cycle(self) -> OrientedCycle | None:
+        """The unique cycle when beta = 1, oriented as the roots run."""
+        if not self._unicyclic:
+            return None
+        r = self.roots
+        return OrientedCycle(list(zip(r, r[1:] + r[:1])))
 
     @cached_property
     def blocks(self) -> BlockDecomposition:
@@ -481,7 +490,7 @@ def is_periodic_unicyclic(g: Graph) -> tuple[bool, int | None]:
     k < cycle length, and then (True, k) is returned.
     """
     s = _structure(g)
-    if s.cycle is None:
+    if not s._unicyclic:
         return (False, None)
     word = [s.labels[v] for v in s.roots]
     k = _minimal_period(word)

@@ -24,7 +24,6 @@ from .blocks import (
     _Structure,
     is_periodic_unicyclic,
     rooted_tree_isomorphism,
-    unique_cycle,
 )
 from .graphs import Graph, require_connected
 
@@ -137,7 +136,9 @@ def witness_kernel_element(g: Graph, verdict: Verdict | None = None) -> Automorp
         return _sibling_swap(g, s, [verdict.root])
 
     if verdict.reason == PERIODIC_UNICYCLIC:
-        verts = unique_cycle(g).vertices()
+        if g.num_edges != g.n:
+            raise ValueError("graph is not unicyclic")
+        verts = s.roots  # the cycle, in order
         k = verdict.period
         if k not in range(1, len(verts)):
             raise ValueError(f"period {k} is not a nontrivial rotation of the cycle")

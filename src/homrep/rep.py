@@ -34,10 +34,10 @@ def _gather(perm: tuple[int, ...], b: SpanningTreeBasis) -> tuple[tuple[int, ...
     return tuple(table[inv[u] * n + inv[v]] for u, v in b.cotree)
 
 
-def _is_kernel_perm(perm: tuple[int, ...], b: SpanningTreeBasis,
-                    p: int | None = None) -> bool:
-    """True iff the permutation's matrix is the identity (mod p if given)."""
-    rows = _gather(perm, b)
+def _is_kernel_perm(rows: tuple[tuple[int, ...], ...], p: int | None = None) -> bool:
+    """True iff rows, a matrix that its caller gathered with `_gather`,
+    are the identity matrix (mod p if given): the one test of kernel
+    membership, integer or mod p, so that each matrix is gathered once."""
     unit = IntMatrix.identity(len(rows)).rows
     return rows == unit or p is not None and all(
         (x - w) % p == 0 for row, unit_row in zip(rows, unit) for x, w in zip(row, unit_row))
@@ -80,7 +80,7 @@ def representation(g: Graph, b: SpanningTreeBasis | None = None,
     for f in automorphisms(g, cap):
         m = matrix_of(f, b)
         mats[f] = m
-        if m.is_identity():
+        if _is_kernel_perm(m.rows):
             kernel.append(f)
     return RepresentationReport(
         basis=b, matrices=mats, kernel=tuple(kernel), faithful=len(kernel) == 1)
@@ -108,4 +108,4 @@ def kernel_mod_p(g: Graph, b: SpanningTreeBasis | None = None, p: int = 3,
         b = spanning_tree_basis(g)
     elif b.graph != g:
         raise ValueError("basis belongs to a different graph")
-    return [f for f in automorphisms(g, cap) if _is_kernel_perm(f.perm, b, p)]
+    return [f for f in automorphisms(g, cap) if _is_kernel_perm(_gather(f.perm, b), p)]

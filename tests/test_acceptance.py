@@ -53,9 +53,19 @@ def summary():
     return verify_corpus(6, seeds=(1, 2, 3, 4, 5))
 
 
+# every criterion's check count on the corpus, so that no check is dropped silently
+EXPECTED_CHECKS = {
+    "classify_oracle": 27475, "homomorphism": 380377, "basis_independence": 154620,
+    "kernel_structure": 33019, "min_degree_two": 12322, "mod_p": 27475,
+    "mod2_kernel": 27475, "periodicity_oracle": 3898, "rigidity_oracle": 16892,
+    "fast_path": 12322, "block_properties": 27475, "cycle_basis": 27475,
+    "witness_validity": 3047,
+}
+
+
 def _criterion(summary, name):
     r = summary.criteria[name]
-    assert r.checked > 0, f"criterion {name} ran no checks"
+    assert r.checked == EXPECTED_CHECKS[name], f"criterion {name} ran {r.checked} checks"
     return r
 
 
@@ -221,6 +231,7 @@ def test_criterion_7_mod_p_kernels(summary):
           f"{summary.mod2_extra_count} of {summary.graphs_total} graphs, e.g.:")
     for example in summary.mod2_extra_examples[:3]:
         print("    " + " | ".join(example.splitlines()))
+    assert summary.mod2_extra_count == 6849
     assert r.violations == 0, r.first_detail
 
 

@@ -9,6 +9,7 @@ from homrep import (
     CapacityError,
     DisconnectedGraphError,
     Graph,
+    OrientedCycle,
     RootedTreeSpec,
     Verdict,
     _kernels,
@@ -237,7 +238,7 @@ class TestHangingTreesLabelledOnce:
     ], ids=["tree", "bridge-path", "periodic", "faithful-core", "cherry-on-cycle",
             "faithful-unicyclic", "long-tail"])
     def test_one_labelling_per_graph(self, monkeypatch, build, reason):
-        # and no blocks: the verdict and its witness need none
+        # and no blocks and no OrientedCycle: the verdict and its witness need neither
         calls = []
         label = blocks._subtree_labels
 
@@ -249,6 +250,10 @@ class TestHangingTreesLabelledOnce:
         real = blocks._lowpoint_blocks
         monkeypatch.setattr(blocks, "_lowpoint_blocks",
                             lambda adj: lowpoint.append(adj) or real(adj))
+        cycles = []
+        init = OrientedCycle.__init__
+        monkeypatch.setattr(OrientedCycle, "__init__",
+                            lambda self, darts: cycles.append(darts) or init(self, darts))
         # the package's `classify` attribute is the function, not the module;
         # the patch there also counts a labelling imported into it
         monkeypatch.setattr(importlib.import_module("homrep.classify"),
@@ -259,7 +264,7 @@ class TestHangingTreesLabelledOnce:
         assert (witness_kernel_element(g, v) is None) == v.faithful
         is_periodic_unicyclic(g)
         pendant_trees(g)
-        assert len(calls) == 1 and lowpoint == []
+        assert len(calls) == 1 and lowpoint == [] and cycles == []
 
     def test_smallest_symmetric_root_wins(self):
         # cherries hang from cycle vertices 3 and 1 of a square

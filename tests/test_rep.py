@@ -11,6 +11,7 @@ from homrep import (
     change_of_basis,
     compose,
     determinant,
+    enumerate_connected_graphs,
     inverse_unimodular,
     kernel_mod_p,
     matrix_mod_p,
@@ -289,4 +290,7 @@ class TestTableBuilds:
         assert len(per_graph) == summary.graphs_total
         assert set(per_graph.values()) == {1 + len(seeds)}
         assert set(builds.values()) == {1}
-        assert sum(reads.values()) > len(builds)
+        # one gather per automorphism and basis: every kernel reads those rows
+        group_orders = sum(len(automorphisms(g)) for n in range(2, 5)
+                           for g in enumerate_connected_graphs(n))
+        assert sum(reads.values()) == (1 + len(seeds)) * group_orders
