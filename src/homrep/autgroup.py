@@ -1,9 +1,12 @@
 """Automorphisms of a graph and their induced action on darts and cycles.
 
-The group is enumerated in full (not via generators): kernel computation
-downstream needs membership tests over every element, and kernels are
-not generated by the kernel elements of a generating set.  A cap guards
-runaway inputs like large stars.
+The group is enumerated in full: kernel computation downstream needs
+membership tests over every element, and kernels are not generated by
+the kernel elements of a generating set.  The elements are multiplied
+out from a stabiliser chain (`_kernels.stabiliser_chain`), whose strong
+generators the verifier's homomorphism check walks.  A cap on the group
+order, known before any element is built, guards runaway inputs like
+large stars.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ class Automorphism:
 
     @classmethod
     def _searched(cls, graph: Graph, perm: tuple[int, ...]) -> "Automorphism":
-        """Wrap a permutation from the automorphism search without the
-        edge-by-edge check: the search admits only adjacency-preserving
+        """Wrap a permutation from the stabiliser chain without the
+        edge-by-edge check: the chain holds only adjacency-preserving
         permutations."""
         f = object.__new__(cls)
         object.__setattr__(f, "graph", graph)
@@ -80,27 +83,29 @@ def identity_automorphism(g: Graph) -> Automorphism:
     return Automorphism(g, tuple(range(g.n)))
 
 
-def automorphism_perms(g: Graph, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """Raw permutation tuples of the full group, lexicographic, identity first."""
+def automorphism_chain(g: Graph, cap: int = DEFAULT_CAP
+                       ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Strong generators for the base 0..n-1, and the raw permutation
+    tuples of the full group, lexicographic, identity first."""
     require_connected(g)
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    perms = _kernels.search_automorphisms(g.n, g.adjacency_masks(), cap + 1)
-    if len(perms) > cap:
+    chain = _kernels.stabiliser_chain(g.n, g.adjacency_masks(), cap)
+    if chain is None:
         raise CapacityError(
             f"automorphism group order exceeds the cap of {cap}; "
             "raise the cap to enumerate this group")
-    return perms
+    return chain
 
 
 def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[Automorphism]:
     """The full automorphism group of a connected graph.
 
-    Backtracking over vertex images with degree and two-way adjacency
-    pruning.  Identity first, remainder in lexicographic order of the
-    permutation; the result length is the group order.
+    Multiplied out from a stabiliser chain.  Identity first, remainder
+    in lexicographic order of the permutation; the result length is the
+    group order.
     """
-    return [Automorphism._searched(g, p) for p in automorphism_perms(g, cap)]
+    return [Automorphism._searched(g, p) for p in automorphism_chain(g, cap)[1]]
 
 
 def has_nontrivial_automorphism(g: Graph) -> bool:

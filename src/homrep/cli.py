@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain
 
 from .autgroup import DEFAULT_CAP
 from .blocks import (
@@ -83,7 +82,8 @@ def _load_graph(args) -> Graph:
 # go through the stdlib encoder, a list of plain ints is joined in one
 # call, and a list of plain-int rows (a matrix) is joined from the rows'
 # texts.  The matrices of one `rep` report share their row tuples, so
-# each distinct row is formatted once per call.
+# each distinct row object is scanned and formatted once per call, and
+# so is each distinct str key.
 _scalar = json.JSONEncoder().encode
 _INDENT = "  "
 
@@ -94,17 +94,12 @@ def _int_list(o, nl: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, o)) + nl + "]"
 
 
-class _RowMemo(dict):
-    """(row, nl) -> the text of a tuple of plain ints whose line starts
-    at nl, made on first use.  Look a row up only after checking that
-    its items are plain ints: (1, 0) == (True, False), with equal hashes."""
-
-    def __missing__(self, key):
-        text = self[key] = _int_list(*key)
+def _key(k, memo: dict) -> str:
+    if type(k) is str:  # only str keys are memoised: True == 1 == 1.0
+        text = memo.get(k)
+        if text is None:
+            text = memo[k] = _scalar(k)
         return text
-
-
-def _key(k) -> str:
     if isinstance(k, str):
         return _scalar(k)
     if k is None or isinstance(k, (int, float)):  # bool is an int
@@ -113,21 +108,34 @@ def _key(k) -> str:
                     f"not {k.__class__.__name__}")
 
 
-def _flat(o, nl: str, memo: _RowMemo) -> str | None:
+def _flat(o, nl: str, memo: dict) -> str | None:
     """Text of a non-empty list of plain ints, or of non-empty lists or
-    tuples of plain ints, whose line starts at nl; None for any other list."""
+    tuples of plain ints, whose line starts at nl; None for any other list.
+
+    memo maps (id(row), indent) to (row, the row's text or None), so
+    each row object is scanned once per call; the entry holds the row,
+    so that its id is not reused while the call runs."""
     types = set(map(type, o))
     if types == {int}:
         return _int_list(o, nl)
-    if types <= {list, tuple} and all(o) and set(map(type, chain.from_iterable(o))) == {int}:
-        inner = nl + _INDENT
-        return "[" + inner + ("," + inner).join(
-            [memo[row, inner] if type(row) is tuple else _int_list(row, inner)
-             for row in o]) + nl + "]"
-    return None
+    if not types <= {list, tuple}:
+        return None
+    inner = nl + _INDENT
+    texts = []
+    for row in o:
+        hit = memo.get((id(row), inner))
+        if hit is None:
+            text = _int_list(row, inner) if set(map(type, row)) == {int} else None
+            memo[id(row), inner] = row, text
+        else:
+            text = hit[1]
+        if text is None:
+            return None
+        texts.append(text)
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _encode(o, nl: str, memo: _RowMemo) -> str:
+def _encode(o, nl: str, memo: dict) -> str:
     """json.dumps(o, indent=2) for a value whose line starts at nl."""
     if isinstance(o, (list, tuple)):
         if not o:
@@ -152,11 +160,38 @@ def _encode(o, nl: str, memo: _RowMemo) -> str:
                 text = _flat(v, inner, memo)
             if text is None:
                 text = _encode(v, inner, memo)
-            parts.append(_key(k) + ": " + text)
+            parts.append(_key(k, memo) + ": " + text)
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if type(o) is int:
         return str(o)
     return _scalar(o)
+
+
+def _emit(o, nl: str, depth: int, write, memo: dict) -> None:
+    """Write o, whose line starts at nl, with the containers `depth`
+    levels down written one element at a time."""
+    inner = nl + _INDENT
+    sep = inner
+    if depth and o and isinstance(o, dict):
+        write("{")
+        for k, v in o.items():
+            write(sep + _key(k, memo) + ": ")
+            _emit(v, inner, depth - 1, write, memo)
+            sep = "," + inner
+        write(nl + "}")
+    elif depth and o and isinstance(o, (list, tuple)):
+        text = _flat(o, nl, memo)
+        if text is not None:
+            write(text)
+            return
+        write("[")
+        for x in o:
+            write(sep)
+            _emit(x, inner, depth - 1, write, memo)
+            sep = "," + inner
+        write(nl + "]")
+    else:
+        write(_encode(o, nl, memo))
 
 
 def _print_json(obj) -> None:
@@ -164,37 +199,12 @@ def _print_json(obj) -> None:
 
     The top-level object and the containers directly inside it are
     written one element at a time, so a large report is never held as
-    one string; a list of ints or of int rows is written whole.
+    one string; a list of ints or of int rows is written whole.  The
+    memo of str keys and row ids to their texts lives for this call
+    only, and no reference cycle holds it past the return.
     """
-    write = sys.stdout.write
-    memo = _RowMemo()
-
-    def emit(o, nl: str, depth: int) -> None:
-        inner = nl + _INDENT
-        sep = inner
-        if depth and o and isinstance(o, dict):
-            write("{")
-            for k, v in o.items():
-                write(sep + _key(k) + ": ")
-                emit(v, inner, depth - 1)
-                sep = "," + inner
-            write(nl + "}")
-        elif depth and o and isinstance(o, (list, tuple)):
-            text = _flat(o, nl, memo)
-            if text is not None:
-                write(text)
-                return
-            write("[")
-            for x in o:
-                write(sep)
-                emit(x, inner, depth - 1)
-                sep = "," + inner
-            write(nl + "]")
-        else:
-            write(_encode(o, nl, memo))
-
-    emit(obj, "\n", 2)
-    write("\n")
+    _emit(obj, "\n", 2, sys.stdout.write, {})
+    sys.stdout.write("\n")
 
 
 def _basis(args, g: Graph):

@@ -35,8 +35,8 @@ class Graph:
 
     # _hash: computed once, as Automorphism keys hash their graph on every
     # dict operation; _structure: the structure homrep.blocks builds on
-    # first use and keeps here
-    __slots__ = ("n", "edges", "_edge_set", "_adj", "_hash", "_structure")
+    # first use and keeps here; _connected: is_connected's answer, once asked
+    __slots__ = ("n", "edges", "_edge_set", "_adj", "_hash", "_structure", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -58,6 +58,7 @@ class Graph:
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._hash = hash((n, self.edges))
         self._structure = None
+        self._connected = None
 
     @property
     def num_edges(self) -> int:
@@ -100,15 +101,18 @@ class Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a breadth-first search from vertex 0 reaches every vertex."""
-    seen = [True] + [False] * (g.n - 1)
-    queue = [0]
-    for x in queue:
-        for y in g._adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
-    return len(queue) == g.n
+    """True iff a breadth-first search from vertex 0 reaches every vertex;
+    the search runs once per graph, and its answer is kept on the graph."""
+    if g._connected is None:
+        seen = [True] + [False] * (g.n - 1)
+        queue = [0]
+        for x in queue:
+            for y in g._adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        g._connected = len(queue) == g.n
+    return g._connected
 
 
 def require_connected(g: Graph) -> None:

@@ -23,6 +23,14 @@ class IntMatrix:
             raise ValueError("matrix must be square")
 
     @classmethod
+    def _square(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap rows known to be square without the length check: a
+        gathered matrix, a product or a minor of square matrices."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in r) for r in rows))
 
@@ -53,7 +61,7 @@ class IntMatrix:
                 elif coef:
                     acc = [a + coef * b for a, b in zip(acc, b_row)]
             out.append(tuple(acc))
-        return IntMatrix(tuple(out))
+        return IntMatrix._square(tuple(out))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)) if self.rows else ())
@@ -110,7 +118,7 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     for i in range(n):
         row = []
         for j in range(n):
-            minor = IntMatrix(tuple(
+            minor = IntMatrix._square(tuple(
                 tuple(x for cj, x in enumerate(r) if cj != i)
                 for rj, r in enumerate(m.rows) if rj != j))
             row.append(det * (-1) ** (i + j) * determinant(minor))

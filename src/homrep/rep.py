@@ -47,7 +47,7 @@ def matrix_of(f: Automorphism, b: SpanningTreeBasis) -> IntMatrix:
     """Matrix of f in basis b; the empty 0x0 matrix when beta = 0."""
     if f.graph != b.graph:
         raise ValueError("automorphism and basis belong to different graphs")
-    return IntMatrix(_gather(f.perm, b))
+    return IntMatrix._square(_gather(f.perm, b))
 
 
 @dataclass

@@ -26,10 +26,10 @@ from homrep import (
     spanning_tree_basis,
     verify_corpus,
 )
-from homrep.autgroup import automorphism_perms
+from homrep.autgroup import automorphism_chain
 from homrep.matrices import IntMatrix
 from homrep.rep import _gather
-from homrep.verify import _Run, _check_homomorphism, _generators, _kernel_structure_check
+from homrep.verify import _Run, _check_homomorphism, _kernel_structure_check
 from helpers import (
     all_increasing_parent_arrays,
     brute_force_automorphisms,
@@ -55,7 +55,8 @@ def summary():
 
 # every criterion's check count on the corpus, so that no check is dropped silently
 EXPECTED_CHECKS = {
-    "classify_oracle": 27475, "homomorphism": 380377, "basis_independence": 154620,
+    "automorphism_chain": 27475,
+    "classify_oracle": 27475, "homomorphism": 320251, "basis_independence": 154620,
     "kernel_structure": 33019, "min_degree_two": 12322, "mod_p": 27475,
     "mod2_kernel": 27475, "periodicity_oracle": 3898, "rigidity_oracle": 16892,
     "fast_path": 12322, "block_properties": 27475, "cycle_basis": 27475,
@@ -75,6 +76,13 @@ def test_criterion_1_classifier_matches_bruteforce_kernel(summary):
     report("criterion 1: structural verdict = brute-force kernel triviality, "
            f"{summary.graphs_total} graphs", r.violations == 0,
            f"{r.checked} checks")
+    assert r.violations == 0, r.first_detail
+
+
+def test_stabiliser_chain_matches_the_search(summary):
+    r = _criterion(summary, "automorphism_chain")
+    report("the stabiliser chain lists the searched group, element for element",
+           r.violations == 0, f"{r.checked} graphs")
     assert r.violations == 0, r.first_detail
 
 
@@ -105,8 +113,7 @@ def _matrices(g, perms):
 def test_criterion_2_product_check_reaches_non_generators(g):
     # groups whose |G|^2 pairs are far more than the verifier checks: a
     # wrong matrix on an element outside the generating set is still seen
-    perms = automorphism_perms(g)
-    gens = _generators(perms)
+    gens, perms = automorphism_chain(g)
     mats = _matrices(g, perms)
     r = _homomorphism_check(g, perms, mats, gens)
     assert r.violations == 0
@@ -124,8 +131,7 @@ def test_criterion_2_product_check_reaches_non_generators(g):
 def test_criterion_2_generators_must_generate_the_group():
     # K_{2,4}: only one generator moves vertex 0, so without it the walk
     # stays in the stabiliser of 0, a subgroup of index 2
-    perms = automorphism_perms(K24)
-    gens = _generators(perms)
+    gens, perms = automorphism_chain(K24)
     dropped = [p for p in gens if p[0] == 0]
     assert len(dropped) == len(gens) - 1
     r = _homomorphism_check(K24, perms, _matrices(K24, perms), dropped)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,8 @@ from homrep import (
     spanning_tree_basis,
     witness_kernel_element,
 )
-from homrep._kernels import search_automorphisms
+from homrep._kernels import search_automorphisms, stabiliser_chain
+from homrep.autgroup import DEFAULT_CAP
 from helpers import brute_force_automorphisms
 
 # path 0-1-2-3-4-5 with an extra leaf on vertex 2: the three arms from
@@ -138,6 +140,42 @@ class TestEnumeration:
         import math
         for g in corpus5:
             assert math.factorial(g.n) % len(automorphisms(g)) == 0
+
+
+def cube(d):
+    return Graph(1 << d, [(v, v ^ (1 << b)) for v in range(1 << d) for b in range(d)])
+
+
+class TestStabiliserChain:
+    # the backtracking search is the oracle: the same elements, in the same order
+    def test_equals_the_search(self, corpus5):
+        graphs = [*corpus5, named_family("complete", 6), named_family("complete", 7),
+                  petersen(), cube(4), Graph(8, [(a, b) for a in range(4) for b in range(4, 8)]),
+                  named_family("cycle", 100)]
+        for g in graphs:
+            masks = g.adjacency_masks()
+            gens, perms = stabiliser_chain(g.n, masks, DEFAULT_CAP)
+            assert perms == search_automorphisms(g.n, masks, DEFAULT_CAP + 1), g
+            assert set(gens) <= set(perms[1:]), g
+
+    def test_star_12_is_refused_before_enumeration(self):
+        # 12! = 479,001,600 elements; the search would list a million first
+        star = named_family("star", 12)
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError) as exc:
+            automorphisms(star)
+        assert time.perf_counter() - t0 < 0.5  # about 1 ms; the search takes seconds
+        assert str(exc.value) == ("automorphism group order exceeds the cap of 1000000; "
+                                  "raise the cap to enumerate this group")
+
+    def test_cap_is_the_group_order(self):
+        k5 = named_family("complete", 5)
+        assert len(automorphisms(k5, cap=120)) == 120
+        with pytest.raises(CapacityError):
+            automorphisms(k5, cap=119)
+
+    def test_single_vertex(self):
+        assert stabiliser_chain(1, [0], 1) == ([], [(0,)])
 
 
 class TestHasNontrivial:

@@ -209,6 +209,7 @@ class TestNoSearch:
         def refuse(*args):
             raise AssertionError("automorphism search called")
         monkeypatch.setattr(_kernels, "search_automorphisms", refuse)
+        monkeypatch.setattr(_kernels, "stabiliser_chain", refuse)
         rigid = rigid_binary_tree(5)
         cycle, _ = build_periodic_unicyclic(
             12, 3, [RootedTreeSpec((-1, 0)), RootedTreeSpec((-1,)),
@@ -361,6 +362,16 @@ class TestBridgedCycles:
             bridge_path_only += bool(roots) and roots <= on_paths
         assert checked >= 2000
         assert bridge_path_only > 0
+
+    def test_stabiliser_chain_equals_the_search(self):
+        # the same graphs; a group over the cap is refused by both routes
+        rng = random.Random(8)
+        for _ in range(2200):
+            g = bridged_cycles(rng)[0]
+            masks = g.adjacency_masks()
+            chain = _kernels.stabiliser_chain(g.n, masks, 500)
+            searched = _kernels.search_automorphisms(g.n, masks, 501)
+            assert (chain is None if len(searched) > 500 else chain[1] == searched), g
 
 
 class TestRandomTrees:

@@ -304,6 +304,24 @@ class TestVerify:
         assert all(c.violations == 0 for name, c in summary.criteria.items()
                    if name != "mod2_kernel")
 
+    def test_automorphism_chain_criterion_catches_a_dropped_element(self, monkeypatch):
+        import homrep.verify
+
+        chain = homrep.autgroup.automorphism_chain
+
+        def dropping(g, cap=homrep.autgroup.DEFAULT_CAP):
+            gens, perms = chain(g, cap)
+            return gens, perms[:-1]
+
+        monkeypatch.setattr(homrep.verify, "automorphism_chain", dropping)
+        summary = homrep.verify_corpus(4, fail_fast=True)
+        # K2, the first graph: its swap is dropped, and the chain is checked first
+        assert summary.graphs_total == 1
+        assert {name: r.violations for name, r in summary.criteria.items()
+                if r.violations} == {"automorphism_chain": 1}
+        assert summary.failure.detail == ("the stabiliser chain's list differs from "
+                                          "the search's (1 and 2 automorphisms)")
+
     def test_fail_fast_stops_at_the_first_violation(self, monkeypatch):
         # the transposed gather of test_gather_checked_against_dart_walk
         import homrep.verify

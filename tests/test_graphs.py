@@ -160,6 +160,14 @@ class TestConnectivity:
     def test_isolated_vertex_via_header(self):
         assert not is_connected(parse_edge_list("n 3\n0 1"))
 
+    def test_answer_is_kept_on_the_graph(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert not is_connected(g)
+        g._adj = ((1, 2, 3), (0,), (0,), (0,))  # a second search would now succeed
+        assert not is_connected(g)
+        with pytest.raises(DisconnectedGraphError, match="^graph is not connected$"):
+            require_connected(g)
+
     def test_no_bitmasks(self, monkeypatch):
         # a breadth-first search over the neighbour lists: n-bit masks
         # would cost quadratic time and memory on long paths

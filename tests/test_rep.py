@@ -50,6 +50,23 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(((1, 2), (3,)))
 
+    def test_gathers_products_and_minors_skip_the_square_check(self, monkeypatch):
+        checked = []
+        post_init = IntMatrix.__post_init__
+
+        def counting(self):
+            checked.append(self.dim)
+            post_init(self)
+
+        k4 = named_family("complete", 4)
+        IntMatrix.identity(3)  # cached, so the kernel test builds none below
+        monkeypatch.setattr(IntMatrix, "__post_init__", counting)
+        m = representation(k4).matrices[automorphisms(k4)[5]]
+        inverse_unimodular(m @ m)
+        assert checked == [3]  # the inverse alone, not its nine minors
+        with pytest.raises(ValueError):
+            IntMatrix(((1, 2), (3,)))
+
 
 class TestDeterminant:
     def test_identity_any_dim(self):
