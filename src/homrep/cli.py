@@ -78,133 +78,108 @@ def _load_graph(args) -> Graph:
 
 # CPython's C encoder serves only indent=None, and json.dump(indent=2)
 # spends most of a `rep --json` run formatting integers in Python.  The
-# emitter below writes the same bytes: keys and scalars other than ints
-# go through the stdlib encoder, a list of plain ints is joined in one
-# call, and a list of plain-int rows (a matrix) is joined from the rows'
-# texts.  The matrices of one `rep` report share their row tuples, so
-# each distinct row object is scanned and formatted once per call, and
-# so is each distinct str key.
+# recursive writer below writes the same bytes: a list of plain ints, or
+# of int rows (a matrix), is joined in one call, and every other container
+# is streamed.  Only tuple rows are memoised, as a report's matrices share
+# them; list rows are built per element, so their texts are not kept.
 _scalar = json.JSONEncoder().encode
+_string = json.encoder.encode_basestring_ascii
 _INDENT = "  "
+# characters per write to stdout; 64 KiB chunks, under glibc's 128 KiB mmap
+# threshold, fragmented the heap: C1500's `rep --json` into a StringIO peaked
+# at 308 MB RSS, not 237 (2 vCPUs, Python 3.11.7)
+_CHUNK = 1 << 18
 
 
-def _int_list(o, nl: str) -> str:
-    """Text of a non-empty list of plain ints whose line starts at nl."""
+def _flat(o, nl: str, rows: dict) -> str | None:
+    """Text of o, a list or tuple whose line starts at nl, when it is
+    empty, holds only plain ints, or holds only lists and tuples that are
+    flat in turn (a matrix); None otherwise.  rows maps (id(row), indent)
+    to (row, its text or None) for the tuple rows met so far: the entry
+    holds the row, so that its id is not reused while the call runs."""
+    if not o:
+        return "[]"
     inner = nl + _INDENT
-    return "[" + inner + ("," + inner).join(map(str, o)) + nl + "]"
-
-
-def _key(k, memo: dict) -> str:
-    if type(k) is str:  # only str keys are memoised: True == 1 == 1.0
-        text = memo.get(k)
-        if text is None:
-            text = memo[k] = _scalar(k)
-        return text
-    if isinstance(k, str):
-        return _scalar(k)
-    if k is None or isinstance(k, (int, float)):  # bool is an int
-        return '"' + _scalar(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
-def _flat(o, nl: str, memo: dict) -> str | None:
-    """Text of a non-empty list of plain ints, or of non-empty lists or
-    tuples of plain ints, whose line starts at nl; None for any other list.
-
-    memo maps (id(row), indent) to (row, the row's text or None), so
-    each row object is scanned once per call; the entry holds the row,
-    so that its id is not reused while the call runs."""
     types = set(map(type, o))
     if types == {int}:
-        return _int_list(o, nl)
-    if not types <= {list, tuple}:
+        texts = map(str, o)
+    elif types <= {list, tuple}:
+        texts = []
+        for row in o:
+            hit = rows.get((id(row), inner))
+            if hit is None:
+                hit = row, _flat(row, inner, rows)
+                if type(row) is tuple:
+                    rows[id(row), inner] = hit
+            if hit[1] is None:
+                return None
+            texts.append(hit[1])
+    else:
         return None
-    inner = nl + _INDENT
-    texts = []
-    for row in o:
-        hit = memo.get((id(row), inner))
-        if hit is None:
-            text = _int_list(row, inner) if set(map(type, row)) == {int} else None
-            memo[id(row), inner] = row, text
-        else:
-            text = hit[1]
-        if text is None:
-            return None
-        texts.append(text)
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _encode(o, nl: str, memo: dict) -> str:
-    """json.dumps(o, indent=2) for a value whose line starts at nl."""
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        text = _flat(o, nl, memo)
-        if text is None:
-            inner = nl + _INDENT
-            text = "[" + inner + ("," + inner).join(
-                [_encode(x, inner, memo) for x in o]) + nl + "]"
-        return text
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = nl + _INDENT
-        parts = []
-        for k, v in o.items():
-            t = type(v)
-            text = None
-            if t is int:
-                text = str(v)
-            elif (t is list or t is tuple) and v:
-                text = _flat(v, inner, memo)
-            if text is None:
-                text = _encode(v, inner, memo)
-            parts.append(_key(k, memo) + ": " + text)
-        return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    if type(o) is int:
-        return str(o)
-    return _scalar(o)
-
-
-def _emit(o, nl: str, depth: int, write, memo: dict) -> None:
-    """Write o, whose line starts at nl, with the containers `depth`
-    levels down written one element at a time."""
+def _emit(o, nl: str, write, rows: dict) -> None:
+    """Write json.dumps(o, indent=2) for a value whose line starts at nl,
+    each container that is not flat one element at a time."""
     inner = nl + _INDENT
-    sep = inner
-    if depth and o and isinstance(o, dict):
-        write("{")
+    if isinstance(o, dict):
+        sep = "{" + inner
         for k, v in o.items():
-            write(sep + _key(k, memo) + ": ")
-            _emit(v, inner, depth - 1, write, memo)
+            if isinstance(k, str):
+                k = _string(k)
+            elif k is None or isinstance(k, (int, float)):  # bool is an int
+                k = '"' + _scalar(k) + '"'
+            else:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {k.__class__.__name__}")
+            t = type(v)  # an int or a flat list is written with its key
+            text = (str(v) if t is int else
+                    _flat(v, inner, rows) if t is list or t is tuple else None)
+            if text is None:
+                write(sep + k + ": ")
+                _emit(v, inner, write, rows)
+            else:
+                write(sep + k + ": " + text)
             sep = "," + inner
-        write(nl + "}")
-    elif depth and o and isinstance(o, (list, tuple)):
-        text = _flat(o, nl, memo)
-        if text is not None:
-            write(text)
-            return
-        write("[")
-        for x in o:
-            write(sep)
-            _emit(x, inner, depth - 1, write, memo)
-            sep = "," + inner
-        write(nl + "]")
+        write(nl + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        text = _flat(o, nl, rows)
+        if text is None:
+            sep = "[" + inner
+            for x in o:
+                write(sep)
+                _emit(x, inner, write, rows)
+                sep = "," + inner
+            text = nl + "]"
+        write(text)
+    elif isinstance(o, str):
+        write(_string(o))
     else:
-        write(_encode(o, nl, memo))
+        write(_scalar(o))
 
 
 def _print_json(obj) -> None:
     """Exactly json.dump(obj, sys.stdout, indent=2) and a newline.
 
-    The top-level object and the containers directly inside it are
-    written one element at a time, so a large report is never held as
-    one string; a list of ints or of int rows is written whole.  The
-    memo of str keys and row ids to their texts lives for this call
-    only, and no reference cycle holds it past the return.
-    """
-    _emit(obj, "\n", 2, sys.stdout.write, {})
-    sys.stdout.write("\n")
+    The pieces reach stdout in chunks of about _CHUNK characters, so no
+    report is held whole and a file is not written once per piece."""
+    out = sys.stdout
+    chunk = []
+    size = 0
+
+    def write(piece: str) -> None:
+        nonlocal size
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            out.write("".join(chunk))
+            chunk.clear()
+            size = 0
+
+    _emit(obj, "\n", write, {})
+    chunk.append("\n")
+    out.write("".join(chunk))
 
 
 def _basis(args, g: Graph):
@@ -274,7 +249,7 @@ def _reducer(p: int):
             if r is None:
                 r = reduced[row] = tuple(x % p for x in row)
             rows.append(r)
-        return IntMatrix(tuple(rows))
+        return IntMatrix._square(tuple(rows))
 
     return reduce
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autgroup import DEFAULT_CAP, Automorphism, automorphisms
-from .cycles import SpanningTreeBasis, cycle_coordinates, spanning_tree_basis
+from .cycles import SpanningTreeBasis, spanning_tree_basis
 from .graphs import Graph
 from .matrices import IntMatrix, is_prime
 
@@ -90,13 +90,15 @@ def change_of_basis(b_old: SpanningTreeBasis, b_new: SpanningTreeBasis) -> IntMa
     """Unimodular matrix P expressing the new cycles in old coordinates.
 
     Column j is the old-basis coordinate vector of the j-th fundamental
-    cycle of b_new; for any automorphism f the matrices satisfy
-    matrix_of(f, b_new) = P^-1 * matrix_of(f, b_old) * P.
+    cycle of b_new, so entry (i, j) counts the signed traversals of
+    b_old's co-tree dart x_i by that cycle: row i is the row of x_i in
+    b_new's cycle-dart table.  For any automorphism f the matrices
+    satisfy P * matrix_of(f, b_new) = matrix_of(f, b_old) * P.
     """
     if b_old.graph != b_new.graph:
         raise ValueError("bases belong to different graphs")
-    cols = [cycle_coordinates(c, b_old) for c in b_new.fundamental_cycles()]
-    return IntMatrix(tuple(cols)).transpose()
+    n, table = b_new.graph.n, b_new.cycle_dart_table()
+    return IntMatrix._square(tuple(table[u * n + v] for u, v in b_old.cotree))
 
 
 def kernel_mod_p(g: Graph, b: SpanningTreeBasis | None = None, p: int = 3,

@@ -1,9 +1,11 @@
 import contextlib
+import enum
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -433,6 +435,17 @@ JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
+class Name(str):
+    pass
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+SHARED_LIST_ROW = [1, 2]
+
+
 def print_json_output(obj) -> str:
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink):
@@ -482,9 +495,28 @@ class TestJson:
         [(1, 2), (True, 2)], [(1, 0), (1.0, 0)], [(1, 2), [(1, 2)]],
         {"a": [(1,)], "b": {"c": [(1,)]}}, [(1, 0), (True, False), (1, 0)],
         {"m": [[(1, 0)], [(True, False)]]},
+        # str and int subclasses, one list row object twice, and a list
+        # row between two equal tuple rows
+        {Name("k"): Name("v\u00e9")}, [1, Colour.RED, 2], [Colour.RED],
+        [SHARED_LIST_ROW, SHARED_LIST_ROW], [(1, 2), [1, 2], (1, 2)],
     ])
     def test_emitter_edge_cases(self, obj):
         assert print_json_output(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_emitter_memoises_only_tuple_rows(self):
+        shared, fresh = (1, 2), [1, 2]
+        rows = {}
+        homrep.cli._emit({"a": [shared, fresh, shared], "b": [[3], (4,)]}, "\n", [].append, rows)
+        assert sorted(row for row, _ in rows.values()) == [(1, 2), (4,)]
+
+    def test_large_output_is_written_in_bounded_chunks(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        obj = [{"a": i, "b": [i, i + 1]} for i in range(20000)]
+        homrep.cli._print_json(obj)
+        assert "".join(writes) == json.dumps(obj, indent=2) + "\n"
+        assert len(writes) > 1
+        assert max(map(len, writes)) < 2 * homrep.cli._CHUNK
 
     def test_emitter_rejects_bad_keys_like_json(self):
         with pytest.raises(TypeError, match="keys must be str"):

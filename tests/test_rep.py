@@ -10,6 +10,7 @@ from homrep import (
     automorphisms,
     change_of_basis,
     compose,
+    cycle_coordinates,
     determinant,
     enumerate_connected_graphs,
     inverse_unimodular,
@@ -212,6 +213,16 @@ class TestChangeOfBasis:
                 for f in automorphisms(g):
                     assert matrix_of(f, b_new) == p_inv @ matrix_of(f, b_old) @ p
 
+    def test_equals_the_coordinates_of_the_new_cycles(self, corpus5):
+        # the route through OrientedCycle and cycle_coordinates is the oracle
+        for g in corpus5:
+            b = spanning_tree_basis(g)
+            for seed in range(1, 6):
+                b2 = random_spanning_tree_basis(g, seed)
+                for b_old, b_new in ((b, b2), (b2, b)):
+                    cols = [cycle_coordinates(c, b_old) for c in b_new.fundamental_cycles()]
+                    assert change_of_basis(b_old, b_new).rows == tuple(zip(*cols))
+
     def test_rejects_mixed_graphs(self, k4, triangle):
         with pytest.raises(ValueError):
             change_of_basis(spanning_tree_basis(k4), spanning_tree_basis(triangle))
@@ -307,7 +318,9 @@ class TestTableBuilds:
         assert len(per_graph) == summary.graphs_total
         assert set(per_graph.values()) == {1 + len(seeds)}
         assert set(builds.values()) == {1}
-        # one gather per automorphism and basis: every kernel reads those rows
+        # one gather per automorphism and basis: every kernel reads those
+        # rows; change_of_basis reads each random tree's table once more
         group_orders = sum(len(automorphisms(g)) for n in range(2, 5)
                            for g in enumerate_connected_graphs(n))
-        assert sum(reads.values()) == (1 + len(seeds)) * group_orders
+        assert sum(reads.values()) == ((1 + len(seeds)) * group_orders
+                                       + len(seeds) * summary.graphs_total)
