@@ -54,7 +54,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .matrices import IntMatrix, determinant, inverse_unimodular, matrix_mod_p
+from .matrices import IntMatrix, determinant, matrix_mod_p
 from .rep import (
     RepresentationReport,
     change_of_basis,
@@ -105,7 +105,6 @@ __all__ = [
     "has_nontrivial_automorphism",
     "identity_automorphism",
     "image_cycle",
-    "inverse_unimodular",
     "is_connected",
     "is_periodic_unicyclic",
     "is_rigid_pendant_tree",

@@ -10,6 +10,8 @@ homology group, and every simple oriented cycle has coordinates in
 from __future__ import annotations
 
 import random
+import struct
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError
@@ -70,11 +72,12 @@ class SpanningTreeBasis:
 
     Co-tree darts are oriented (u, v) with u < v and listed in
     lexicographic order.  The tree is held as parent pointers from
-    `root`, which is how fundamental-cycle tree paths are recovered.
+    `root`, which is how fundamental-cycle tree paths are recovered;
+    `tree_edges` is built from them on first read.
     """
 
-    __slots__ = ("graph", "root", "tree_edges", "cotree", "parent", "depth",
-                 "_cycles", "_coord_index", "_dart_table")
+    __slots__ = ("graph", "root", "cotree", "parent", "depth",
+                 "_tree_edges", "_cycles", "_coord_index", "_dart_table")
 
     def __init__(self, graph: Graph, tree_edges: Iterable[tuple[int, int]],
                  root: int = 0):
@@ -98,6 +101,7 @@ class SpanningTreeBasis:
             raise ValueError("edge set is not a spanning tree (does not reach "
                              "every vertex)")
         self._adopt(graph, root, parent, depth)
+        self._tree_edges = tree
 
     @classmethod
     def _from_parents(cls, graph: Graph, root: int, parent: Sequence[int],
@@ -118,13 +122,19 @@ class SpanningTreeBasis:
         self.root = root
         self.parent = tuple(parent)
         self.depth = tuple(depth)
-        self.tree_edges = frozenset((p, v) if p < v else (v, p)
-                                    for v, p in enumerate(parent) if p >= 0)
-        self.cotree = tuple(Dart(u, v) for u, v in graph.edges
-                            if parent[u] != v and parent[v] != u)
+        self.cotree = tuple(map(Dart._make, [(u, v) for u, v in graph.edges
+                                             if parent[u] != v and parent[v] != u]))
+        self._tree_edges: frozenset[tuple[int, int]] | None = None
         self._cycles: tuple[OrientedCycle, ...] | None = None
         self._coord_index: dict[Dart, tuple[int, int]] | None = None
         self._dart_table: dict[int, tuple[int, ...]] | None = None
+
+    @property
+    def tree_edges(self) -> frozenset[tuple[int, int]]:
+        if self._tree_edges is None:
+            self._tree_edges = frozenset((p, v) if p < v else (v, p)
+                                         for v, p in enumerate(self.parent) if p >= 0)
+        return self._tree_edges
 
     @property
     def beta(self) -> int:
@@ -176,9 +186,10 @@ class SpanningTreeBasis:
             n, beta = self.graph.n, len(self.cotree)
             parent, depth = self.parent, self.depth
             rows = {}
+            zero = [0] * beta
             for u, v in self.graph.edges:
-                rows[u * n + v] = [0] * beta
-                rows[v * n + u] = [0] * beta
+                rows[u * n + v] = zero.copy()
+                rows[v * n + u] = zero.copy()
             # cycle j: the co-tree dart (u, v), then the tree path from v
             # up to the common ancestor with u and down again to u, walked
             # from both ends, the deeper end first
@@ -246,11 +257,51 @@ def spanning_tree_basis(g: Graph) -> SpanningTreeBasis:
     return SpanningTreeBasis._from_parents(g, 0, parent, depth)
 
 
+# Words of a seed's stream drawn on the first call; a graph that needs
+# more of them asks again for twice as many, of which these are a prefix.
+_FIRST_WORDS = 64
+
+
+@lru_cache(maxsize=32)
+def _seed_words(seed: int, length: int) -> tuple[int, ...]:
+    """The first `length` 32-bit outputs of random.Random(seed), in order.
+
+    getrandbits(32 * length) fills its result with the next words, the
+    first one least significant.
+    """
+    bits = random.Random(seed).getrandbits(32 * length)
+    return struct.unpack(f"<{length}I", bits.to_bytes(4 * length, "little"))
+
+
 def random_spanning_tree_basis(g: Graph, seed: int) -> SpanningTreeBasis:
-    """Seeded randomized-DFS spanning tree; same seed, same basis."""
-    rng = random.Random(seed)
+    """Seeded randomized-DFS spanning tree; same seed, same basis.
+
+    The tree is the one random.Random(seed) yields when randrange picks
+    the root and shuffle orders each vertex's neighbours before they are
+    pushed.  Each seed's words are drawn once, kept in a bounded cache
+    and replayed, so no generator is built per call or shared between
+    calls.  The basis builds `tree_edges` on first read.
+    """
     n = g.n
-    root = rng.randrange(n)
+    adj = g._adj
+    # CPython's Random._randbelow_with_getrandbits(bound), replayed: for
+    # k = bound.bit_length() <= 32 (every bound here is a vertex count or
+    # a degree), getrandbits(k) is the next word shifted right by 32 - k,
+    # and a draw of at least bound is rejected.  randrange(n) is that
+    # draw with bound n; shuffle makes one per step, with bound j + 1 for
+    # j from len - 1 down to 1.
+    words = _seed_words(seed, _FIRST_WORDS)
+    i = 0
+    shift = 32 - n.bit_length()
+    while True:
+        try:
+            root = words[i] >> shift
+        except IndexError:  # past the cached words: ask for twice as many
+            words = _seed_words(seed, 2 * i)
+            continue
+        i += 1
+        if root < n:
+            break
     parent = [-2] * n
     depth = [0] * n
     stack: list[tuple[int, int]] = [(root, -1)]
@@ -261,8 +312,22 @@ def random_spanning_tree_basis(g: Graph, seed: int) -> SpanningTreeBasis:
         parent[x] = came_from
         if came_from >= 0:
             depth[x] = depth[came_from] + 1
-        nbrs = list(g.neighbors(x))
-        rng.shuffle(nbrs)
+        nbrs = adj[x]
+        if len(nbrs) > 1:  # shuffle draws nothing for fewer
+            nbrs = list(nbrs)
+            for j in range(len(nbrs) - 1, 0, -1):
+                bound = j + 1
+                shift = 32 - bound.bit_length()
+                while True:
+                    try:
+                        k = words[i] >> shift
+                    except IndexError:
+                        words = _seed_words(seed, 2 * i)
+                        continue
+                    i += 1
+                    if k < bound:
+                        break
+                nbrs[j], nbrs[k] = nbrs[k], nbrs[j]
         for y in nbrs:
             if parent[y] == -2:
                 stack.append((y, x))

@@ -25,7 +25,7 @@ class IntMatrix:
     @classmethod
     def _square(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
         """Wrap rows known to be square without the length check: a
-        gathered matrix, a product or a minor of square matrices."""
+        gathered matrix or a product of square matrices."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         return m
@@ -101,29 +101,6 @@ def determinant(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix, exactly, via the adjugate.
-
-    With det = +/-1 the inverse is det * adjugate, so it stays integer.
-    """
-    det = determinant(m)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {det})")
-    n = m.dim
-    if n == 0:
-        return m
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix._square(tuple(
-                tuple(x for cj, x in enumerate(r) if cj != i)
-                for rj, r in enumerate(m.rows) if rj != j))
-            row.append(det * (-1) ** (i + j) * determinant(minor))
-        inv.append(tuple(row))
-    return IntMatrix(tuple(inv))
 
 
 def is_prime(p: int) -> bool:

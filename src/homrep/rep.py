@@ -31,7 +31,7 @@ def _gather(perm: tuple[int, ...], b: SpanningTreeBasis) -> tuple[tuple[int, ...
     n = len(perm)
     inv = dict(zip(perm, range(n)))
     table = b.cycle_dart_table()
-    return tuple(table[inv[u] * n + inv[v]] for u, v in b.cotree)
+    return tuple([table[inv[u] * n + inv[v]] for u, v in b.cotree])
 
 
 def _is_kernel_perm(rows: tuple[tuple[int, ...], ...], p: int | None = None) -> bool:

@@ -8,9 +8,10 @@ they are checking.
 
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
-from homrep import Graph
+from homrep import Graph, IntMatrix
 
 
 def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -72,6 +73,45 @@ def laplace_determinant(rows) -> int:
         minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
         total += (-1) ** j * x * laplace_determinant(minor)
     return total
+
+
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular matrix as det * adjugate, every
+    determinant by cofactor expansion."""
+    rows = m.rows
+    det = laplace_determinant(rows)
+    if det not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det = {det})")
+    n = len(rows)
+    return IntMatrix.from_rows(
+        [det * (-1) ** (i + j) * laplace_determinant(
+            [[x for c, x in enumerate(r) if c != i] for k, r in enumerate(rows) if k != j])
+         for j in range(n)] for i in range(n))
+
+
+def reference_random_tree(g: Graph, seed: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(root, parent, depth) of the seeded randomized-DFS spanning tree,
+    drawn from random.Random(seed) itself: randrange picks the root and
+    shuffle orders each vertex's neighbours."""
+    rng = random.Random(seed)
+    n = g.n
+    root = rng.randrange(n)
+    parent = [-2] * n
+    depth = [0] * n
+    stack: list[tuple[int, int]] = [(root, -1)]
+    while stack:
+        x, came_from = stack.pop()
+        if parent[x] != -2:
+            continue
+        parent[x] = came_from
+        if came_from >= 0:
+            depth[x] = depth[came_from] + 1
+        nbrs = list(g.neighbors(x))
+        rng.shuffle(nbrs)
+        for y in nbrs:
+            if parent[y] == -2:
+                stack.append((y, x))
+    return root, tuple(parent), tuple(depth)
 
 
 def signed_incidence_matrix(g, perm, basis):

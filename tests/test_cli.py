@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import homrep
 import homrep.cli
 import homrep.rep
-from homrep import IntMatrix, matrix_mod_p, parse_edge_list
+from helpers import reference_random_tree
+from homrep import IntMatrix, basis_from_tree, matrix_mod_p, parse_edge_list
 from homrep.cli import main
 
 
@@ -146,6 +147,26 @@ class TestRep:
         code, out, _ = run_cli(capsys, "rep", "--family", "cycle", "4",
                                "--tree", "rand", "--seed", "3")
         assert code == 0 and "seed 3" in out
+
+    @pytest.mark.parametrize("seed", ["1", "3", "-7"])
+    @pytest.mark.parametrize("source", [
+        ("--family", "complete", "4"), ("--g6", "IheA@GUAo"), ("--family", "cycle", "12"),
+    ], ids=["K4", "petersen", "C12"])
+    def test_random_tree_output_is_the_generators_tree(self, capsys, monkeypatch, source, seed):
+        # the same bytes as a basis built from random.Random(seed)'s own tree
+        argv = ("rep", *source, "--tree", "rand", "--seed", seed, "--json")
+        code, out, _ = run_cli(capsys, *argv)
+        built = []
+
+        def reference(g, s):
+            root, parent, _ = reference_random_tree(g, s)
+            built.append(s)
+            return basis_from_tree(g, [(v, p) for v, p in enumerate(parent) if p >= 0], root)
+
+        monkeypatch.setattr(homrep.cli, "random_spanning_tree_basis", reference)
+        ref_code, ref_out, _ = run_cli(capsys, *argv)
+        assert built == [int(seed)]
+        assert (code, out.encode()) == (ref_code, ref_out.encode())
 
     def test_mod_p_section(self, capsys):
         code, out, _ = run_cli(capsys, "rep", "--family", "cycle", "4",

@@ -1,7 +1,12 @@
+import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
 
+import homrep.cycles
+from helpers import reference_random_tree
 from homrep import (
     Dart,
     DisconnectedGraphError,
@@ -101,6 +106,90 @@ class TestRandomBasis:
         assert count == 16
         trees = {random_spanning_tree_basis(k4, s).tree_edges for s in range(1, 11)}
         assert len(trees) >= 2
+
+
+def _random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """A random tree on n vertices plus up to n random extra edges."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n + 1))]
+    return Graph(n, edges)
+
+
+def _tree(b):
+    return b.root, b.parent, b.depth
+
+
+class TestRandomTreeStream:
+    """The builder replays random.Random(seed)'s words; the oracle draws
+    them from the generator itself (helpers.reference_random_tree)."""
+
+    def test_every_small_graph_under_the_verifier_seeds(self, corpus5):
+        for g in corpus5:
+            for seed in range(1, 6):
+                assert _tree(random_spanning_tree_basis(g, seed)) == reference_random_tree(g, seed)
+
+    def test_random_graphs_up_to_300_vertices(self):
+        rng = random.Random(2024)
+        graphs = [_random_connected_graph(rng, rng.randrange(2, 301)) for _ in range(100)]
+        # a shuffle bound above 256 takes 9 bits of a word
+        graphs.append(named_family("star", 300))
+        assert graphs[-1].degree(0) > 256
+        for g in graphs:
+            seed = rng.randrange(10 ** 6)
+            assert _tree(random_spanning_tree_basis(g, seed)) == reference_random_tree(g, seed)
+
+    @pytest.mark.parametrize("seed", [0, -7, 2 ** 70])
+    def test_zero_negative_and_wide_seeds(self, seed):
+        for g in (named_family("complete", 5), _petersen(), named_family("cycle", 12)):
+            assert _tree(random_spanning_tree_basis(g, seed)) == reference_random_tree(g, seed)
+
+    def test_cycle_after_a_larger_graph_grew_the_words(self):
+        words = homrep.cycles._seed_words
+        words.cache_clear()
+        big = named_family("cycle", 4000)
+        assert _tree(random_spanning_tree_basis(big, 3)) == reference_random_tree(big, 3)
+        drawn = words.cache_info().misses
+        c1500 = named_family("cycle", 1500)
+        assert _tree(random_spanning_tree_basis(c1500, 3)) == reference_random_tree(c1500, 3)
+        assert words.cache_info().misses == drawn  # C1500 read only cached words
+
+    def test_words_are_the_generators_words(self):
+        for seed in (1, 0, -7, 2 ** 70):
+            rng = random.Random(seed)
+            assert homrep.cycles._seed_words(seed, 100) == tuple(
+                rng.getrandbits(32) for _ in range(100))
+
+    def test_cache_is_bounded_and_holds_no_generator(self):
+        assert homrep.cycles._seed_words.cache_info().maxsize is not None
+        assert not any(isinstance(v, random.Random) for v in vars(homrep.cycles).values())
+        assert type(homrep.cycles._seed_words(5, 64)) is tuple
+
+    def test_concurrent_builders_draw_their_own_words(self):
+        graphs = [named_family("complete", 6), _petersen(), named_family("cycle", 300)]
+        want = {(i, s): reference_random_tree(g, s) for i, g in enumerate(graphs)
+                for s in range(40)}
+        wrong = []
+
+        def build(offset):
+            for s in range(40):
+                s = (s + offset) % 40
+                for i, g in enumerate(graphs):
+                    if _tree(random_spanning_tree_basis(g, s)) != want[i, s]:
+                        wrong.append((i, s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            homrep.cycles._seed_words.cache_clear()
+            threads = [threading.Thread(target=build, args=(7 * k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestFundamentalCycle:
