@@ -10,12 +10,9 @@ brute force on every small graph.
 from .autgroup import (
     DEFAULT_CAP,
     Automorphism,
-    apply_to_dart,
     automorphisms,
-    compose,
     has_nontrivial_automorphism,
     identity_automorphism,
-    image_cycle,
 )
 from .blocks import (
     BlockDecomposition,
@@ -25,7 +22,6 @@ from .blocks import (
     block_decomposition,
     block_tree,
     is_periodic_unicyclic,
-    is_rigid_pendant_tree,
     is_simple_cycle_graph,
     pendant_trees,
     two_edge_connected_components,
@@ -54,11 +50,10 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .matrices import IntMatrix, determinant, matrix_mod_p
+from .matrices import IntMatrix, determinant
 from .rep import (
     RepresentationReport,
     change_of_basis,
-    kernel_mod_p,
     matrix_of,
     representation,
 )
@@ -86,7 +81,6 @@ __all__ = [
     "VerificationSummary",
     "Verdict",
     "ahu_code",
-    "apply_to_dart",
     "automorphisms",
     "basis_from_tree",
     "betti",
@@ -96,7 +90,6 @@ __all__ = [
     "change_of_basis",
     "classify",
     "classify_fast_2edge",
-    "compose",
     "cycle_coordinates",
     "determinant",
     "enumerate_connected_graphs",
@@ -104,13 +97,9 @@ __all__ = [
     "fundamental_cycle",
     "has_nontrivial_automorphism",
     "identity_automorphism",
-    "image_cycle",
     "is_connected",
     "is_periodic_unicyclic",
-    "is_rigid_pendant_tree",
     "is_simple_cycle_graph",
-    "kernel_mod_p",
-    "matrix_mod_p",
     "matrix_of",
     "named_family",
     "parse_edge_list",

@@ -1,4 +1,4 @@
-"""Automorphisms of a graph and their induced action on darts and cycles.
+"""The automorphism group of a connected graph.
 
 The group is enumerated in full: kernel computation downstream needs
 membership tests over every element, and kernels are not generated by
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import _kernels
-from .cycles import OrientedCycle
 from .errors import CapacityError
-from .graphs import Dart, Graph, require_connected
+from .graphs import Graph, require_connected
 
 DEFAULT_CAP = 10 ** 6
 
@@ -53,12 +52,6 @@ class Automorphism:
 
     def is_identity(self) -> bool:
         return all(p == v for v, p in enumerate(self.perm))
-
-    def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.perm)
-        for v, p in enumerate(self.perm):
-            inv[p] = v
-        return Automorphism(self.graph, tuple(inv))
 
     def order(self) -> int:
         result = 1
@@ -116,22 +109,3 @@ def has_nontrivial_automorphism(g: Graph) -> bool:
     perms = _kernels.search_automorphisms(g.n, g.adjacency_masks(), 2)
     return len(perms) == 2
 
-
-def apply_to_dart(f: Automorphism, d: Dart) -> Dart:
-    """Induced action on darts: map tail and head."""
-    if not f.graph.is_dart(d):
-        raise ValueError(f"{d} is not a dart of the graph")
-    return Dart(f.perm[d.tail], f.perm[d.head])
-
-
-def compose(f: Automorphism, g: Automorphism) -> Automorphism:
-    """Composition f after g: compose(f, g)(v) = f(g(v))."""
-    if f.graph != g.graph:
-        raise ValueError("cannot compose automorphisms of different graphs")
-    fp, gp = f.perm, g.perm
-    return Automorphism(f.graph, tuple(fp[gp[v]] for v in range(len(fp))))
-
-
-def image_cycle(f: Automorphism, c: OrientedCycle) -> OrientedCycle:
-    """Elementwise dart image of a cycle; again a simple oriented cycle."""
-    return OrientedCycle([apply_to_dart(f, d) for d in c.darts])

@@ -212,15 +212,6 @@ class PendantTree:
     vertices: frozenset[int]
     edges: tuple[tuple[int, int], ...]
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
-
 
 class _Structure:
     """The structure of one connected graph, built in parts.
@@ -417,15 +408,6 @@ def ahu_code(g: Graph, vertices, root: int) -> str:
     for key in table:
         codes.append("(" + "".join(sorted(codes[c] for c in key)) + ")")
     return codes[labels[root]]
-
-
-def is_rigid_pendant_tree(s: PendantTree) -> bool:
-    """True iff the tree admits no nontrivial root-fixing automorphism.
-
-    Equivalent to: no vertex has two children with equal AHU labels,
-    rooted at the pendant root.
-    """
-    return _equal_siblings([s.root], *_subtree_labels(s.adjacency(), [s.root], {})) is None
 
 
 def rooted_tree_isomorphism(labels: dict[int, int], children: dict[int, list[int]],

@@ -3,10 +3,7 @@
 Subcommands: info (structure report), rep (matrices, kernel, faithful
 flag), classify (verdict with scripting-friendly exit code), verify
 (exhaustive small-graph cross-check), gen (decorated-cycle generator).
-
-Exit codes: 0 success / faithful, 2 input error, 3 not faithful
-(classify only), 4 automorphism cap exceeded, 5 verification
-disagreement.
+Exit codes are the EXIT_* constants below.
 """
 
 from __future__ import annotations
@@ -27,16 +24,16 @@ from .classify import classify
 from .cycles import betti, random_spanning_tree_basis, spanning_tree_basis
 from .errors import CapacityError, DisconnectedGraphError, GraphParseError
 from .families import RootedTreeSpec, build_periodic_unicyclic, named_family
-from .graphs import Graph, format_edge_list, parse_edge_list, parse_graph6
+from .graphs import Graph, _read_edge_list, format_edge_list, parse_graph6
 from .matrices import IntMatrix, is_prime
 from .rep import representation
 from .verify import verify_corpus
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NOT_FAITHFUL = 3
-EXIT_CAPACITY = 4
-EXIT_DISAGREEMENT = 5
+EXIT_OK = 0  # success; classify: faithful
+EXIT_INPUT = 2  # unreadable, malformed or disconnected input, or a bad option value
+EXIT_NOT_FAITHFUL = 3  # classify only
+EXIT_CAPACITY = 4  # automorphism group order above --cap
+EXIT_DISAGREEMENT = 5  # verify found a disagreement
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -65,7 +62,10 @@ def _load_graph(args) -> Graph:
                     text = fh.read()
             except OSError as exc:
                 raise GraphParseError(f"cannot read {args.input}: {exc}") from None
-        return parse_edge_list(text)
+        n, edges = _read_edge_list(text)
+        if n > len(edges) + 1:  # too few edges to connect n vertices
+            raise DisconnectedGraphError("graph is not connected")
+        return Graph(n, edges)
     if args.family is not None:
         name, size = args.family
         try:

@@ -51,12 +51,6 @@ class OrientedCycle:
     def dart_set(self) -> frozenset[Dart]:
         return frozenset(self.darts)
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(d.edge for d in self.darts)
-
-    def reverse(self) -> "OrientedCycle":
-        return OrientedCycle(tuple(d.inverse() for d in reversed(self.darts)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, OrientedCycle) and self._canon == other._canon
 
@@ -263,14 +257,27 @@ _FIRST_WORDS = 64
 
 
 @lru_cache(maxsize=32)
+def _seed_slot(seed: int) -> list[tuple[int, ...]]:
+    """A one-item list holding the words of random.Random(seed) drawn so
+    far: each seed keeps one tuple, which _seed_words replaces by a
+    longer one when asked for more."""
+    return [()]
+
+
 def _seed_words(seed: int, length: int) -> tuple[int, ...]:
-    """The first `length` 32-bit outputs of random.Random(seed), in order.
+    """At least the first `length` 32-bit outputs of random.Random(seed),
+    in order.
 
     getrandbits(32 * length) fills its result with the next words, the
-    first one least significant.
+    first one least significant.  A longer draw replaces the seed's
+    tuple, so a caller keeps reading the tuple it was given.
     """
-    bits = random.Random(seed).getrandbits(32 * length)
-    return struct.unpack(f"<{length}I", bits.to_bytes(4 * length, "little"))
+    slot = _seed_slot(seed)
+    words = slot[0]
+    if len(words) < length:
+        bits = random.Random(seed).getrandbits(32 * length)
+        words = slot[0] = struct.unpack(f"<{length}I", bits.to_bytes(4 * length, "little"))
+    return words
 
 
 def random_spanning_tree_basis(g: Graph, seed: int) -> SpanningTreeBasis:

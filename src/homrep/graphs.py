@@ -76,11 +76,6 @@ class Graph:
     def is_dart(self, d: Dart) -> bool:
         return d.tail != d.head and self.has_edge(d.tail, d.head)
 
-    def darts(self) -> Iterator[Dart]:
-        for u, v in self.edges:
-            yield Dart(u, v)
-            yield Dart(v, u)
-
     def adjacency_masks(self) -> list[int]:
         """Adjacency rows as integer bitmasks (bit v of row u <=> u~v)."""
         masks = [0] * self.n
@@ -128,6 +123,12 @@ def parse_edge_list(text: str) -> Graph:
     otherwise n is inferred as 1 + the largest label.  Duplicate edges
     collapse; self-loops are rejected.
     """
+    return Graph(*_read_edge_list(text))
+
+
+def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the edge pairs, duplicates included, of
+    edge-list text (see parse_edge_list), read before any graph is built."""
     edges: list[tuple[int, int]] = []
     declared_n: int | None = None
     saw_data = False
@@ -168,7 +169,7 @@ def parse_edge_list(text: str) -> Graph:
         n = 1 + max(max(u, v) for u, v in edges)
     else:
         raise GraphParseError("no edges and no 'n <count>' header")
-    return Graph(n, edges)
+    return n, edges
 
 
 def format_edge_list(g: Graph) -> str:

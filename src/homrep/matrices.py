@@ -63,9 +63,6 @@ class IntMatrix:
             out.append(tuple(acc))
         return IntMatrix._square(tuple(out))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)) if self.rows else ())
-
     def render_text(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
@@ -113,9 +110,3 @@ def is_prime(p: int) -> bool:
         d += 1
     return True
 
-
-def matrix_mod_p(m: IntMatrix, p: int) -> IntMatrix:
-    """Entrywise reduction into 0..p-1; p must be prime."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return IntMatrix(tuple(tuple(x % p for x in row) for row in m.rows))

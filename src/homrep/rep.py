@@ -3,8 +3,8 @@
 Conventions (fixed once, used everywhere):
   * column j of the matrix of f holds the coordinates of the image of
     the j-th fundamental cycle under f;
-  * compose(f, g) applies g first, which makes the assignment
-    f -> matrix a homomorphism under ordinary matrix product.
+  * the product fg applies g first, (fg)(v) = f(g(v)), which makes the
+    assignment f -> matrix a homomorphism under ordinary matrix product.
 
 The matrix is built row by row as a gather from the basis's cycle-dart
 table Z (`SpanningTreeBasis.cycle_dart_table`), whose rows are keyed by
@@ -13,7 +13,8 @@ traversals of the co-tree dart x_i by f(C_j), that is of the dart
 f^-1(x_i) by C_j, so row i of the matrix of f is Z[f^-1(x_i)].
 
 Every matrix has entries in {-1, 0, 1} and determinant +/-1; the kernel
-is the set of automorphisms mapped to the identity matrix.
+is the set of automorphisms mapped to the identity matrix, the mod p
+kernel those mapped to the identity mod p; `_is_kernel_perm` tests both.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .autgroup import DEFAULT_CAP, Automorphism, automorphisms
 from .cycles import SpanningTreeBasis, spanning_tree_basis
 from .graphs import Graph
-from .matrices import IntMatrix, is_prime
+from .matrices import IntMatrix
 
 
 def _gather(perm: tuple[int, ...], b: SpanningTreeBasis) -> tuple[tuple[int, ...], ...]:
@@ -100,14 +101,3 @@ def change_of_basis(b_old: SpanningTreeBasis, b_new: SpanningTreeBasis) -> IntMa
     n, table = b_new.graph.n, b_new.cycle_dart_table()
     return IntMatrix._square(tuple(table[u * n + v] for u, v in b_old.cotree))
 
-
-def kernel_mod_p(g: Graph, b: SpanningTreeBasis | None = None, p: int = 3,
-                 cap: int = DEFAULT_CAP) -> list[Automorphism]:
-    """Automorphisms whose matrix reduces to the identity mod p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if b is None:
-        b = spanning_tree_basis(g)
-    elif b.graph != g:
-        raise ValueError("basis belongs to a different graph")
-    return [f for f in automorphisms(g, cap) if _is_kernel_perm(_gather(f.perm, b), p)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from homrep import Graph, IntMatrix
+from homrep import Automorphism, Graph, IntMatrix, OrientedCycle
 
 
 def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -87,6 +87,23 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
         [det * (-1) ** (i + j) * laplace_determinant(
             [[x for c, x in enumerate(r) if c != i] for k, r in enumerate(rows) if k != j])
          for j in range(n)] for i in range(n))
+
+
+def compose(f: Automorphism, g: Automorphism) -> Automorphism:
+    """The product f after g, (fg)(v) = f(g(v)), checked as an automorphism."""
+    if f.graph != g.graph:
+        raise ValueError("cannot compose automorphisms of different graphs")
+    return Automorphism(f.graph, tuple(f.perm[x] for x in g.perm))
+
+
+def matrix_mod_p(m: IntMatrix, p: int) -> IntMatrix:
+    """Entrywise reduction into 0..p-1."""
+    return IntMatrix(tuple(tuple(x % p for x in row) for row in m.rows))
+
+
+def reversed_cycle(c: OrientedCycle) -> OrientedCycle:
+    """The same cycle walked the other way round."""
+    return OrientedCycle([(d.head, d.tail) for d in reversed(c.darts)])
 
 
 def reference_random_tree(g: Graph, seed: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

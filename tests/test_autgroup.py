@@ -6,24 +6,20 @@ import pytest
 from homrep import (
     Automorphism,
     CapacityError,
-    Dart,
     Graph,
-    apply_to_dart,
+    RootedTreeSpec,
     automorphisms,
-    compose,
+    build_periodic_unicyclic,
     enumerate_connected_graphs,
-    fundamental_cycle,
     has_nontrivial_automorphism,
     identity_automorphism,
-    image_cycle,
     named_family,
     representation,
-    spanning_tree_basis,
     witness_kernel_element,
 )
 from homrep._kernels import search_automorphisms, stabiliser_chain
 from homrep.autgroup import DEFAULT_CAP
-from helpers import brute_force_automorphisms
+from helpers import brute_force_automorphisms, compose
 
 # path 0-1-2-3-4-5 with an extra leaf on vertex 2: the three arms from
 # vertex 2 have pairwise distinct lengths, so nothing can move
@@ -51,7 +47,7 @@ class TestAutomorphismType:
         c4 = named_family("cycle", 4)
         rot = Automorphism(c4, (1, 2, 3, 0))
         assert rot.order() == 4
-        assert compose(rot, rot.inverse()) == identity_automorphism(c4)
+        assert compose(rot, Automorphism(c4, (3, 0, 1, 2))) == identity_automorphism(c4)
 
 
 class TestSearchedAutomorphisms:
@@ -81,11 +77,11 @@ class TestSearchedAutomorphisms:
 
         monkeypatch.setattr(Automorphism, "__post_init__", counting)
         c4 = named_family("cycle", 4)
-        rot = automorphisms(c4)[1]
+        automorphisms(c4)
         assert checked == []
-        rot.inverse()
-        compose(rot, rot)
+        identity_automorphism(c4)
         witness_kernel_element(named_family("path", 3))
+        build_periodic_unicyclic(4, 2, [RootedTreeSpec.parse("[-1]")] * 2)
         assert len(checked) == 3
         with pytest.raises(ValueError):
             Automorphism(c4, (0, 2, 1, 3))
@@ -195,27 +191,6 @@ class TestHasNontrivial:
         assert has_nontrivial_automorphism(named_family("cycle", 1500))
 
 
-class TestDartAction:
-    def test_identity_fixes_darts(self, k4):
-        ident = identity_automorphism(k4)
-        for d in k4.darts():
-            assert apply_to_dart(ident, d) == d
-
-    def test_inverse_round_trip(self, k4):
-        for f in automorphisms(k4)[:6]:
-            for d in k4.darts():
-                assert apply_to_dart(f, apply_to_dart(f.inverse(), d)) == d
-
-    def test_c4_rotation(self):
-        c4 = named_family("cycle", 4)
-        rot = Automorphism(c4, (1, 2, 3, 0))
-        assert apply_to_dart(rot, Dart(0, 1)) == Dart(1, 2)
-
-    def test_foreign_dart_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            apply_to_dart(identity_automorphism(triangle), Dart(0, 5))
-
-
 class TestCompose:
     def test_identity_neutral(self, k4):
         ident = identity_automorphism(k4)
@@ -224,7 +199,8 @@ class TestCompose:
 
     def test_inverse_gives_identity(self, k4):
         for f in automorphisms(k4)[:8]:
-            assert compose(f, f.inverse()).is_identity()
+            inverse = Automorphism(k4, tuple(sorted(range(4), key=f.perm.__getitem__)))
+            assert compose(f, inverse).is_identity()
 
     def test_rotations_add_up(self):
         c4 = named_family("cycle", 4)
@@ -241,29 +217,3 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(identity_automorphism(triangle), identity_automorphism(k4))
 
-
-class TestImageCycle:
-    def test_identity_fixes_cycle(self, triangle):
-        b = spanning_tree_basis(triangle)
-        c = fundamental_cycle(b, 1)
-        assert image_cycle(identity_automorphism(triangle), c) == c
-
-    def test_round_trip(self, k4):
-        b = spanning_tree_basis(k4)
-        c = fundamental_cycle(b, 1)
-        for f in automorphisms(k4)[:8]:
-            assert image_cycle(f.inverse(), image_cycle(f, c)) == c
-
-    def test_c4_reflection_reverses(self):
-        c4 = named_family("cycle", 4)
-        b = spanning_tree_basis(c4)
-        c = fundamental_cycle(b, 1)
-        refl = Automorphism(c4, (0, 3, 2, 1))
-        assert image_cycle(refl, c) == c.reverse()
-
-    def test_preserves_length_and_simplicity(self, k4):
-        b = spanning_tree_basis(k4)
-        for f in automorphisms(k4):
-            for i in range(1, b.beta + 1):
-                c = fundamental_cycle(b, i)
-                assert len(image_cycle(f, c)) == len(c)

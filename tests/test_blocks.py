@@ -13,7 +13,6 @@ from homrep import (
     build_periodic_unicyclic,
     classify,
     is_periodic_unicyclic,
-    is_rigid_pendant_tree,
     named_family,
     pendant_trees,
     two_edge_connected_components,
@@ -289,32 +288,38 @@ def _brute_rigid(tree):
     return True
 
 
+def _hung_symmetric(tree_edges, k):
+    """classify's flag for the rooted tree on 0..k-1, root 0, hung from a
+    triangle at its root."""
+    g = Graph(k + 2, [*tree_edges, (0, k), (0, k + 1), (k, k + 1)])
+    return blocks._structure(g).is_symmetric(0)
+
+
 class TestRigidity:
     def test_two_leaves_swap(self):
-        t = _pendant(0, [0, 1, 2], [(0, 1), (0, 2)])
-        assert not is_rigid_pendant_tree(t)
+        assert _hung_symmetric([(0, 1), (0, 2)], 3)
 
     def test_chain_is_rigid(self):
-        t = _pendant(0, [0, 1, 2], [(0, 1), (1, 2)])
-        assert is_rigid_pendant_tree(t)
+        assert not _hung_symmetric([(0, 1), (1, 2)], 3)
 
     def test_leaf_plus_chain_is_rigid(self):
         # oracle: all root-fixing permutations of the 4 vertices
-        t = _pendant(0, [0, 1, 2, 3], [(0, 1), (0, 2), (2, 3)])
-        assert _brute_rigid(t)
-        assert is_rigid_pendant_tree(t)
+        edges = [(0, 1), (0, 2), (2, 3)]
+        assert _brute_rigid(_pendant(0, range(4), edges))
+        assert not _hung_symmetric(edges, 4)
 
     def test_symmetry_deeper_down(self):
-        t = _pendant(0, [0, 1, 2, 3], [(0, 1), (1, 2), (1, 3)])
-        assert not _brute_rigid(t)
-        assert not is_rigid_pendant_tree(t)
+        edges = [(0, 1), (1, 2), (1, 3)]
+        assert not _brute_rigid(_pendant(0, range(4), edges))
+        assert _hung_symmetric(edges, 4)
 
     def test_agrees_with_brute_force_on_corpus(self, corpus5):
         for g in corpus5:
             if g.num_edges < g.n:
                 continue
+            s = blocks._structure(g)
             for t in pendant_trees(g):
-                assert is_rigid_pendant_tree(t) == _brute_rigid(t)
+                assert s.is_symmetric(t.root) != _brute_rigid(t)
 
 
 class TestUniqueCycle:

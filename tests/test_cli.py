@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import homrep
 import homrep.cli
 import homrep.rep
-from helpers import reference_random_tree
-from homrep import IntMatrix, basis_from_tree, matrix_mod_p, parse_edge_list
+from helpers import matrix_mod_p, reference_random_tree
+from homrep import IntMatrix, basis_from_tree, parse_edge_list
 from homrep.cli import main
 
 
@@ -86,6 +86,22 @@ class TestInfo:
                                       ("rep", "--tree", "rand")],
                              ids=["info", "classify", "rep", "rep-rand"])
     def test_disconnected_input_exit_2(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert (code, out, err) == (2, "", "error: graph is not connected\n")
+
+    @pytest.mark.parametrize("text", ["0 100000000\n", "n 1000000\n0 1\n", "n 3\n"],
+                             ids=["label-1e8", "header-1e6", "no-edges"])
+    @pytest.mark.parametrize("argv", [("info",), ("classify",), ("rep",)],
+                             ids=["info", "classify", "rep"])
+    def test_too_few_edges_rejected_before_any_graph(self, capsys, tmp_path, monkeypatch,
+                                                      argv, text):
+        # n > edges + 1 cannot be connected: refused before Graph allocates n lists
+        def refuse(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(homrep.graphs.Graph, "__init__", refuse)
         path = tmp_path / "d.txt"
         path.write_text(text)
         code, out, err = run_cli(capsys, *argv, "--input", str(path))

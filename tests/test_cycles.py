@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import homrep.cycles
-from helpers import reference_random_tree
+from helpers import reference_random_tree, reversed_cycle
 from homrep import (
     Dart,
     DisconnectedGraphError,
@@ -144,25 +144,34 @@ class TestRandomTreeStream:
             assert _tree(random_spanning_tree_basis(g, seed)) == reference_random_tree(g, seed)
 
     def test_cycle_after_a_larger_graph_grew_the_words(self):
-        words = homrep.cycles._seed_words
-        words.cache_clear()
+        slot = homrep.cycles._seed_slot
+        slot.cache_clear()
         big = named_family("cycle", 4000)
         assert _tree(random_spanning_tree_basis(big, 3)) == reference_random_tree(big, 3)
-        drawn = words.cache_info().misses
+        words = slot(3)[0]
+        assert len(words) >= 4000 and slot.cache_info().currsize == 1  # one tuple per seed
         c1500 = named_family("cycle", 1500)
         assert _tree(random_spanning_tree_basis(c1500, 3)) == reference_random_tree(c1500, 3)
-        assert words.cache_info().misses == drawn  # C1500 read only cached words
+        assert slot(3)[0] is words  # C1500 read only cached words
 
     def test_words_are_the_generators_words(self):
+        homrep.cycles._seed_slot.cache_clear()
         for seed in (1, 0, -7, 2 ** 70):
             rng = random.Random(seed)
-            assert homrep.cycles._seed_words(seed, 100) == tuple(
-                rng.getrandbits(32) for _ in range(100))
+            want = tuple(rng.getrandbits(32) for _ in range(300))
+            assert homrep.cycles._seed_words(seed, 100)[:100] == want[:100]
+            assert homrep.cycles._seed_words(seed, 300)[:300] == want  # grown, same prefix
 
     def test_cache_is_bounded_and_holds_no_generator(self):
-        assert homrep.cycles._seed_words.cache_info().maxsize is not None
+        slot, words = homrep.cycles._seed_slot, homrep.cycles._seed_words
+        slot.cache_clear()
+        kept = words(0, 64)
+        for seed in range(1, 100):  # a seed in use stays cached while others pass
+            words(seed, 64)
+            assert words(0, 64) is kept
+        assert slot.cache_info().currsize == slot.cache_info().maxsize == 32
         assert not any(isinstance(v, random.Random) for v in vars(homrep.cycles).values())
-        assert type(homrep.cycles._seed_words(5, 64)) is tuple
+        assert type(slot(5)[0]) is tuple
 
     def test_concurrent_builders_draw_their_own_words(self):
         graphs = [named_family("complete", 6), _petersen(), named_family("cycle", 300)]
@@ -180,7 +189,7 @@ class TestRandomTreeStream:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            homrep.cycles._seed_words.cache_clear()
+            homrep.cycles._seed_slot.cache_clear()
             threads = [threading.Thread(target=build, args=(7 * k,)) for k in range(4)]
             for t in threads:
                 t.start()
@@ -231,12 +240,7 @@ class TestOrientedCycle:
         a = OrientedCycle([Dart(0, 1), Dart(1, 2), Dart(2, 0)])
         b = OrientedCycle([Dart(1, 2), Dart(2, 0), Dart(0, 1)])
         assert a == b and hash(a) == hash(b)
-        assert a != a.reverse()
-
-    def test_reverse_involution(self):
-        c = OrientedCycle([Dart(0, 1), Dart(1, 2), Dart(2, 0)])
-        assert c.reverse().reverse() == c
-        assert c.edge_set() == c.reverse().edge_set()
+        assert a != reversed_cycle(a)
 
 
 class TestCycleCoordinates:
@@ -250,7 +254,7 @@ class TestCycleCoordinates:
         b = spanning_tree_basis(k4)
         for i in range(1, b.beta + 1):
             c = fundamental_cycle(b, i)
-            assert cycle_coordinates(c.reverse(), b) == tuple(
+            assert cycle_coordinates(reversed_cycle(c), b) == tuple(
                 -x for x in cycle_coordinates(c, b))
 
     def test_k4_facial_triangle_signed_count(self, k4):
@@ -260,7 +264,7 @@ class TestCycleCoordinates:
         b = spanning_tree_basis(k4)
         tri = OrientedCycle([Dart(1, 2), Dart(2, 3), Dart(3, 1)])
         assert cycle_coordinates(tri, b) == (1, -1, 1)
-        assert cycle_coordinates(tri.reverse(), b) == (-1, 1, -1)
+        assert cycle_coordinates(reversed_cycle(tri), b) == (-1, 1, -1)
 
     def test_entries_in_signed_unit_range(self, corpus5):
         for g in corpus5[:120]:

@@ -31,11 +31,6 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
 
-    def test_dart_count_is_twice_edge_count(self, k4):
-        darts = list(k4.darts())
-        assert len(darts) == 2 * k4.num_edges
-        assert {d.edge for d in darts} == set(k4.edges)
-
     def test_dart_inverse_involution(self):
         d = Dart(0, 1)
         assert d.inverse() == Dart(1, 0)

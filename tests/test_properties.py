@@ -2,9 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import compose
 from homrep import (
     Graph,
-    compose,
     format_edge_list,
     is_connected,
     matrix_of,
