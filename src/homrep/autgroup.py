@@ -47,9 +47,6 @@ class Automorphism:
         object.__setattr__(f, "perm", perm)
         return f
 
-    def __call__(self, v: int) -> int:
-        return self.perm[v]
-
     def is_identity(self) -> bool:
         return all(p == v for v, p in enumerate(self.perm))
 

@@ -24,16 +24,18 @@ from .classify import classify
 from .cycles import betti, random_spanning_tree_basis, spanning_tree_basis
 from .errors import CapacityError, DisconnectedGraphError, GraphParseError
 from .families import RootedTreeSpec, build_periodic_unicyclic, named_family
-from .graphs import Graph, _read_edge_list, format_edge_list, parse_graph6
+from .graphs import (ENUMERATION_MAX_VERTICES, Graph, _read_edge_list, format_edge_list,
+                     parse_graph6)
 from .matrices import IntMatrix, is_prime
 from .rep import representation
-from .verify import verify_corpus
+from .verify import DEFAULT_SEEDS, verify_corpus
 
 EXIT_OK = 0  # success; classify: faithful
 EXIT_INPUT = 2  # unreadable, malformed or disconnected input, or a bad option value
 EXIT_NOT_FAITHFUL = 3  # classify only
 EXIT_CAPACITY = 4  # automorphism group order above --cap
 EXIT_DISAGREEMENT = 5  # verify found a disagreement
+EXIT_MEMORY = 6  # ran out of memory
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -341,7 +343,7 @@ def cmd_verify(args) -> int:
     if args.json:
         out = {
             "n_max": summary.n_max,
-            "seeds": list(seeds),
+            "seeds": list(summary.seeds),
             "graphs": summary.per_n,
             "criteria": {
                 name: {"checked": r.checked, "violations": r.violations}
@@ -421,9 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = sub.add_parser("verify", help="exhaustive cross-check on all small graphs")
-    p_ver.add_argument("--n-max", type=int, default=6,
-                       help="largest vertex count to enumerate (2..6, default 6)")
-    p_ver.add_argument("--seeds", default="1,2,3,4,5",
+    p_ver.add_argument("--n-max", type=int, default=ENUMERATION_MAX_VERTICES,
+                       help="largest vertex count to enumerate "
+                            f"(2..{ENUMERATION_MAX_VERTICES}, default {ENUMERATION_MAX_VERTICES})")
+    p_ver.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
                        help="comma-separated seeds for the random-tree kernels")
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
@@ -448,6 +451,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

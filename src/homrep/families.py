@@ -90,28 +90,47 @@ def build_periodic_unicyclic(n: int, k: int,
     return g, rho
 
 
+# the most edges a named family may have, a hundred times the 10^5 edges
+# of the largest graphs classify is timed on; complete 30000 would have
+# about 4.5e8 and exhaust memory
+FAMILY_MAX_EDGES = 10 ** 7
+
+
 def named_family(name: str, size: int) -> Graph:
-    """Standard labeled test families: cycle, complete, star, path, bowtie."""
+    """Standard labeled test families: cycle, complete, star, path, bowtie.
+
+    A family with more than FAMILY_MAX_EDGES edges is refused, with a
+    ValueError, before any of it is built."""
     if name == "cycle":
         if size < 3:
             raise ValueError("cycle needs at least 3 vertices")
-        return Graph(size, [(i, (i + 1) % size) for i in range(size)])
-    if name == "complete":
+        n, m = size, size
+        edges = ((i, (i + 1) % size) for i in range(size))
+    elif name == "complete":
         if size < 1:
             raise ValueError("complete graph needs at least 1 vertex")
-        return Graph(size, [(i, j) for i in range(size) for j in range(i + 1, size)])
-    if name == "star":
+        n, m = size, size * (size - 1) // 2
+        edges = ((i, j) for i in range(size) for j in range(i + 1, size))
+    elif name == "star":
         # size counts the leaves; center is vertex 0
         if size < 1:
             raise ValueError("star needs at least 1 leaf")
-        return Graph(size + 1, [(0, i) for i in range(1, size + 1)])
-    if name == "path":
+        n, m = size + 1, size
+        edges = ((0, i) for i in range(1, size + 1))
+    elif name == "path":
         if size < 1:
             raise ValueError("path needs at least 1 vertex")
-        return Graph(size, [(i, i + 1) for i in range(size - 1)])
-    if name == "bowtie":
+        n, m = size, size - 1
+        edges = ((i, i + 1) for i in range(size - 1))
+    elif name == "bowtie":
         if size != 5:
             raise ValueError("bowtie is a 5-vertex graph; pass size 5")
-        return Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    raise ValueError(f"unknown family {name!r} "
-                     "(choose cycle, complete, star, path or bowtie)")
+        n, m = 5, 6
+        edges = ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))
+    else:
+        raise ValueError(f"unknown family {name!r} "
+                         "(choose cycle, complete, star, path or bowtie)")
+    if m > FAMILY_MAX_EDGES:
+        raise ValueError(f"{name} {size} would have {m} edges; named families "
+                         f"are limited to {FAMILY_MAX_EDGES}")
+    return Graph(n, edges)

@@ -24,11 +24,6 @@ class Dart(NamedTuple):
     def inverse(self) -> "Dart":
         return Dart(self.head, self.tail)
 
-    @property
-    def edge(self) -> tuple[int, int]:
-        u, v = self
-        return (u, v) if u < v else (v, u)
-
 
 class Graph:
     """Immutable simple graph: no loops, no parallel edges."""

@@ -100,13 +100,35 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+# Miller-Rabin on the first twelve primes as bases decides primality
+# exactly below this bound, the least strong pseudoprime to all twelve
+# (Sorenson and Webster, 2015)
+PRIME_TEST_BOUND = 318665857834031151167461
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test; p must be below PRIME_TEST_BOUND."""
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"{p} is too large to test for primality "
+                         f"(the bound is {PRIME_TEST_BOUND})")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
-

@@ -10,7 +10,9 @@ kernel from the spanning tree, the structural properties of kernel
 elements, the degree-two shortcut, mod-p kernels, the structure of the
 mod-2 kernel, and the canonical-form detectors against permutation
 search.  One pass computes everything; both the CLI verifier and the
-acceptance suite run through here.
+acceptance suite run through here.  A VerificationSummary is the run:
+its parameters, a tally per criterion and the first failure, which its
+record() keeps.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .blocks import (
 )
 from .classify import classify, classify_fast_2edge, witness_kernel_element
 from .cycles import cycle_coordinates, random_spanning_tree_basis, spanning_tree_basis
-from .graphs import Graph, enumerate_connected_graphs, format_edge_list
+from .graphs import (ENUMERATION_MAX_VERTICES, Graph, enumerate_connected_graphs,
+                     format_edge_list)
 from .matrices import IntMatrix, determinant
 from .rep import _gather, _is_kernel_perm, change_of_basis
 
@@ -42,7 +45,6 @@ MOD2_REPRODUCER_LIMIT = 5
 
 @dataclass
 class CriterionResult:
-    name: str
     checked: int = 0
     violations: int = 0
     first_detail: str | None = None
@@ -53,27 +55,6 @@ class VerificationFailure:
     criterion: str
     graph_text: str
     detail: str
-
-
-@dataclass
-class VerificationSummary:
-    n_max: int
-    graphs_total: int = 0
-    per_n: dict[int, int] = field(default_factory=dict)
-    criteria: dict[str, CriterionResult] = field(default_factory=dict)
-    mod2_extra_count: int = 0
-    mod2_extra_examples: list[str] = field(default_factory=list)
-    failure: VerificationFailure | None = None
-
-    def result(self, name: str) -> CriterionResult:
-        if name not in self.criteria:
-            self.criteria[name] = CriterionResult(name)
-        return self.criteria[name]
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None and all(
-            r.violations == 0 for r in self.criteria.values())
 
 
 CRITERIA = (
@@ -94,6 +75,48 @@ CRITERIA = (
     "cycle_basis",          # cotree size = betti; own coordinates are unit vectors
     "witness_validity",     # constructed witness lies in the brute-force kernel
 )
+
+
+class _Stop(Exception):
+    """Ends a fail-fast run at its first violation."""
+
+
+@dataclass
+class VerificationSummary:
+    """One verifier run: its parameters, per-criterion tallies and first failure."""
+    n_max: int
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    fail_fast: bool = False
+    per_n: dict[int, int] = field(default_factory=dict)
+    criteria: dict[str, CriterionResult] = field(
+        default_factory=lambda: {name: CriterionResult() for name in CRITERIA})
+    mod2_extra_count: int = 0
+    mod2_extra_examples: list[str] = field(default_factory=list)
+    failure: VerificationFailure | None = None
+
+    @property
+    def graphs_total(self) -> int:
+        return sum(self.per_n.values())
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
+    def record(self, name: str, ok: bool, g: Graph, detail: str | None) -> None:
+        """Count one check of criterion `name`; a failed check keeps its
+        detail and, in a fail-fast run, raises _Stop."""
+        r = self.criteria[name]
+        r.checked += 1
+        if ok:
+            return
+        r.violations += 1
+        text = format_edge_list(g)
+        if r.first_detail is None:
+            r.first_detail = f"{detail}\n{text}"
+        if self.failure is None:
+            self.failure = VerificationFailure(name, text, detail)
+        if self.fail_fast:
+            raise _Stop
 
 
 def _walk_columns(perm: tuple[int, ...], b) -> tuple[tuple[int, ...], ...]:
@@ -170,75 +193,46 @@ def _kernel_structure_check(g: Graph, b):
     return first_violation
 
 
-class _Stop(Exception):
-    """Ends a fail-fast run at its first violation."""
-
-
-class _Run:
-    def __init__(self, n_max, seeds, fail_fast):
-        self.summary = VerificationSummary(n_max=n_max)
-        for name in CRITERIA:
-            self.summary.result(name)
-        self.seeds = seeds
-        self.fail_fast = fail_fast
-
-    def record(self, name: str, ok: bool, g: Graph, detail: str | None) -> None:
-        """Count one check of criterion `name`; a failed check keeps its
-        detail and, in a fail-fast run, raises _Stop."""
-        r = self.summary.result(name)
-        r.checked += 1
-        if ok:
-            return
-        r.violations += 1
-        text = format_edge_list(g)
-        if r.first_detail is None:
-            r.first_detail = f"{detail}\n{text}"
-        if self.summary.failure is None:
-            self.summary.failure = VerificationFailure(name, text, detail)
-        if self.fail_fast:
-            raise _Stop
-
-
-def _check_homomorphism(g: Graph, perms, mats, gens, run: _Run) -> None:
+def _check_homomorphism(g: Graph, perms, mats, gens, summary: VerificationSummary) -> None:
     """M(id) = I, det M(p) = +/-1 on perms, and M(f.s) = M(f) M(s) for
     each s in gens and each f that a breadth-first walk from the identity
     along gens reaches; the walk must reach all of perms.  By induction
     on word length, M(f.h) = M(f) M(h) for all f, h in the group."""
+    record = summary.record
     ident = tuple(range(g.n))
     reached = [ident] if ident in mats else []
-    run.record("homomorphism", bool(reached) and mats[ident].is_identity(), g,
-               "matrix of the identity is not the identity matrix")
+    record("homomorphism", bool(reached) and mats[ident].is_identity(), g,
+           "matrix of the identity is not the identity matrix")
     for p in perms:
-        run.record("homomorphism", abs(determinant(mats[p])) == 1, g,
-                   "matrix determinant is not +/-1")
+        record("homomorphism", abs(determinant(mats[p])) == 1, g,
+               "matrix determinant is not +/-1")
     seen = set(reached)
     for f in reached:
         mf = mats[f]
         for s in gens:
             fs = tuple(map(f.__getitem__, s))
             if fs not in mats:
-                run.record("homomorphism", False, g,
-                           "a composite of automorphisms is outside the searched group")
+                record("homomorphism", False, g,
+                       "a composite of automorphisms is outside the searched group")
                 continue
-            run.record("homomorphism", mats[fs] == mf @ mats[s], g,
-                       "matrix of a composite differs from the matrix product")
+            record("homomorphism", mats[fs] == mf @ mats[s], g,
+                   "matrix of a composite differs from the matrix product")
             if fs not in seen:
                 seen.add(fs)
                 reached.append(fs)
-    run.record("homomorphism", len(reached) == len(perms), g,
-               f"the generators reach {len(reached)} of {len(perms)} automorphisms")
+    record("homomorphism", len(reached) == len(perms), g,
+           f"the generators reach {len(reached)} of {len(perms)} automorphisms")
 
 
-def _check_graph(g: Graph, run: _Run) -> None:
-    s = run.summary
+def _check_graph(g: Graph, s: VerificationSummary) -> None:
     b = spanning_tree_basis(g)
     beta = b.beta
     unit = IntMatrix.identity(beta).rows
     gens, perms = automorphism_chain(g)
     searched = search_automorphisms(g.n, g.adjacency_masks(), len(perms) + 1)
-    run.record("automorphism_chain", perms == searched, g,
-               f"the stabiliser chain's list differs from the search's "
-               f"({len(perms)} and {len(searched)} automorphisms)")
+    s.record("automorphism_chain", perms == searched, g,
+             f"the stabiliser chain's list differs from the search's "
+             f"({len(perms)} and {len(searched)} automorphisms)")
     mats = {p: IntMatrix._square(_gather(p, b)) for p in perms}
     kernel = [p for p in perms if _is_kernel_perm(mats[p].rows)]
     kernel_set = set(kernel)
@@ -246,7 +240,7 @@ def _check_graph(g: Graph, run: _Run) -> None:
     # cycle_basis: cotree size and own coordinates
     ok = beta == g.num_edges - g.n + 1 and all(
         cycle_coordinates(c, b) == unit[j] for j, c in enumerate(b.fundamental_cycles()))
-    run.record("cycle_basis", ok, g, "fundamental cycle coordinates are not unit vectors")
+    s.record("cycle_basis", ok, g, "fundamental cycle coordinates are not unit vectors")
 
     # block properties: P1, P2, centre; the last failure found is reported
     d = block_decomposition(g)
@@ -265,14 +259,14 @@ def _check_graph(g: Graph, run: _Run) -> None:
                 detail = "block tree has a cutvertex leaf"
         except RuntimeError as exc:
             detail = str(exc) or "block structure violation"
-    run.record("block_properties", detail is None, g, detail)
+    s.record("block_properties", detail is None, g, detail)
 
     # criterion 1: classifier vs brute-force kernel
     verdict = classify(g)
     brute_faithful = len(kernel) == 1
-    run.record("classify_oracle", verdict.faithful == brute_faithful, g,
-               f"classify says faithful={verdict.faithful} ({verdict.describe()}), "
-               f"brute-force kernel has order {len(kernel)}")
+    s.record("classify_oracle", verdict.faithful == brute_faithful, g,
+             f"classify says faithful={verdict.faithful} ({verdict.describe()}), "
+             f"brute-force kernel has order {len(kernel)}")
 
     # witness validity: constructed kernel element really is in the kernel
     if not verdict.faithful:
@@ -291,43 +285,43 @@ def _check_graph(g: Graph, run: _Run) -> None:
         except Exception as exc:  # construction raised
             ok = False
             detail = f"witness construction failed: {exc}"
-        run.record("witness_validity", ok, g, detail)
+        s.record("witness_validity", ok, g, detail)
 
     # fast path consistency
     fast = classify_fast_2edge(g)
     if fast is not None:
-        run.record("fast_path", fast.faithful == verdict.faithful, g,
-                   "degree-two shortcut disagrees with classifier")
+        s.record("fast_path", fast.faithful == verdict.faithful, g,
+                 "degree-two shortcut disagrees with classifier")
 
     # criterion 2: entry range, the gather against the walk, homomorphism, determinants
     entries_ok = all(abs(x) <= 1 for p in perms for row in mats[p].rows for x in row)
     walk_ok = all(mats[p].rows == tuple(zip(*_walk_columns(p, b))) for p in perms)
-    run.record("homomorphism", entries_ok and walk_ok, g,
-               "matrix entry outside {-1,0,1}" if not entries_ok
-               else "gathered matrix differs from the dart walk")
-    _check_homomorphism(g, perms, mats, gens, run)
+    s.record("homomorphism", entries_ok and walk_ok, g,
+             "matrix entry outside {-1,0,1}" if not entries_ok
+             else "gathered matrix differs from the dart walk")
+    _check_homomorphism(g, perms, mats, gens, s)
 
     # criterion 3: kernel does not depend on the spanning tree
-    for seed in run.seeds:
+    for seed in s.seeds:
         b2 = random_spanning_tree_basis(g, seed)
         rows2 = {p: _gather(p, b2) for p in perms}
         kernel2 = {p for p in perms if _is_kernel_perm(rows2[p])}
-        run.record("basis_independence", kernel2 == kernel_set, g,
-                   f"kernel changed under random tree (seed {seed})")
+        s.record("basis_independence", kernel2 == kernel_set, g,
+                 f"kernel changed under random tree (seed {seed})")
         if g.n <= 5:
             p_mat = change_of_basis(b, b2)
-            run.record("basis_independence", abs(determinant(p_mat)) == 1, g,
-                       f"change-of-basis matrix is not unimodular (seed {seed})")
+            s.record("basis_independence", abs(determinant(p_mat)) == 1, g,
+                     f"change-of-basis matrix is not unimodular (seed {seed})")
             for p in perms:  # the conjugacy identity, as P * M_new == M_old * P
                 ok = (p_mat @ IntMatrix._square(rows2[p])).rows == (mats[p] @ p_mat).rows
-                run.record("basis_independence", ok, g,
-                           f"conjugacy identity failed (seed {seed})")
+                s.record("basis_independence", ok, g,
+                         f"conjugacy identity failed (seed {seed})")
 
     # criterion 4: structural properties of kernel elements
     violation = _kernel_structure_check(g, b)
     for p in kernel:
         detail = violation(p)
-        run.record("kernel_structure", detail is None, g, detail)
+        s.record("kernel_structure", detail is None, g, detail)
 
     # criterion 5: no leaves => injective unless the whole graph is a cycle
     if all(g.degree(v) >= 2 for v in range(g.n)):
@@ -337,12 +331,12 @@ def _check_graph(g: Graph, run: _Run) -> None:
         else:
             ok = len(kernel) == 1
             detail = "leafless non-cycle graph has a nontrivial kernel"
-        run.record("min_degree_two", ok, g, detail)
+        s.record("min_degree_two", ok, g, detail)
 
     # criterion 7: mod-p kernels
     kernel3 = {p for p in perms if _is_kernel_perm(mats[p].rows, 3)}
-    run.record("mod_p", kernel3 == kernel_set, g,
-               "mod-3 kernel differs from the integer kernel")
+    s.record("mod_p", kernel3 == kernel_set, g,
+             "mod-3 kernel differs from the integer kernel")
     # torsion in the level-2 congruence subgroup has order at most 2
     # (Minkowski), so ker2 / ker is an elementary abelian 2-group
     kernel2 = {p for p in perms if _is_kernel_perm(mats[p].rows, 2)}
@@ -356,7 +350,7 @@ def _check_graph(g: Graph, run: _Run) -> None:
         # kernel elements have the identity matrix, so only the excess is squared
         ok = all((mats[p] @ mats[p]).is_identity() for p in kernel2 - kernel_set)
         detail = "a mod-2 kernel element does not square to the identity"
-    run.record("mod2_kernel", ok, g, detail)
+    s.record("mod2_kernel", ok, g, detail)
     if kernel2 > kernel_set:
         s.mod2_extra_count += 1
         if len(s.mod2_extra_examples) < MOD2_REPRODUCER_LIMIT:
@@ -367,42 +361,37 @@ def _check_graph(g: Graph, run: _Run) -> None:
         periodic, k = is_periodic_unicyclic(g)
         brute = _brute_minimal_rotation(g, perms[1:])
         ok = periodic == (brute is not None) and (not periodic or brute == k)
-        run.record("periodicity_oracle", ok, g,
-                   f"rotation detector says {(periodic, k)}, search found shift {brute}")
+        s.record("periodicity_oracle", ok, g,
+                 f"rotation detector says {(periodic, k)}, search found shift {brute}")
 
     # the symmetry flag classify reads vs permutation search, on every pendant tree
     forest = _structure(g)
     for tree in pendant_trees(g):
         ok = forest.is_symmetric(tree.root) == _brute_root_fixing_symmetry(tree)
-        run.record("rigidity_oracle", ok, g,
-                   f"symmetry flag disagrees with search at root {tree.root}")
+        s.record("rigidity_oracle", ok, g,
+                 f"symmetry flag disagrees with search at root {tree.root}")
 
 
-def verify_corpus(n_max: int = 6, *, seeds=DEFAULT_SEEDS, sample_seed: int = 7, fail_fast: bool = False,
+def verify_corpus(n_max: int = ENUMERATION_MAX_VERTICES, *, seeds=DEFAULT_SEEDS,
+                  sample_seed: int = 7, fail_fast: bool = False,
                   progress=None) -> VerificationSummary:
     """Run every per-graph check over all labeled connected graphs with
-    2 <= n <= n_max vertices.  n_max is capped at 6; seeds must be
-    nonempty, so that no criterion is vacuous.
-
-    The homomorphism criterion covers every pair of elements of every
-    group: products on the stabiliser chain's strong generators, a check
-    that their closure is the whole group, and the determinant of every
-    element.
-    sample_seed is accepted and ignored; it seeded the pair sample that
-    this check replaced, and the benchmark harness still passes it."""
-    if not 2 <= n_max <= 6:
-        raise ValueError(f"verification supports 2 <= n_max <= 6, got {n_max}")
+    2 <= n <= n_max <= ENUMERATION_MAX_VERTICES vertices.  seeds must be
+    nonempty, so that no criterion is vacuous.  sample_seed is accepted
+    and ignored: it seeded the pair sample that the homomorphism check on
+    the strong generators replaced, and the benchmark harness passes it."""
+    if not 2 <= n_max <= ENUMERATION_MAX_VERTICES:
+        raise ValueError(f"verification supports 2 <= n_max <= "
+                         f"{ENUMERATION_MAX_VERTICES}, got {n_max}")
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("at least one tree seed is needed for basis_independence")
-    run = _Run(n_max, seeds, fail_fast)
-    s = run.summary
+    s = VerificationSummary(n_max, seeds, fail_fast)
     try:
         for n in range(2, n_max + 1):
             for idx, g in enumerate(enumerate_connected_graphs(n)):
                 s.per_n[n] = idx + 1
-                s.graphs_total += 1
-                _check_graph(g, run)
+                _check_graph(g, s)
                 if progress is not None:
                     progress(n, idx + 1)
     except _Stop:

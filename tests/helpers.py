@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from math import isqrt
 
 from homrep import Automorphism, Graph, IntMatrix, OrientedCycle
 
@@ -94,6 +95,11 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     if f.graph != g.graph:
         raise ValueError("cannot compose automorphisms of different graphs")
     return Automorphism(f.graph, tuple(f.perm[x] for x in g.perm))
+
+
+def trial_division_is_prime(p: int) -> bool:
+    """Primality by trial division up to the square root of p."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def matrix_mod_p(m: IntMatrix, p: int) -> IntMatrix:

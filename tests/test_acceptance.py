@@ -29,7 +29,7 @@ from homrep import (
 from homrep.autgroup import automorphism_chain
 from homrep.matrices import IntMatrix
 from homrep.rep import _gather
-from homrep.verify import _Run, _check_homomorphism, _kernel_structure_check
+from homrep.verify import VerificationSummary, _check_homomorphism, _kernel_structure_check
 from helpers import (
     all_increasing_parent_arrays,
     brute_force_automorphisms,
@@ -99,9 +99,9 @@ K24 = Graph(6, [(i, j) for i in range(2) for j in range(2, 6)])
 
 def _homomorphism_check(g, perms, mats, gens):
     """The homomorphism criterion on its own, on hand-built matrices."""
-    run = _Run(6, (1,), False)
-    _check_homomorphism(g, perms, mats, gens, run)
-    return run.summary.criteria["homomorphism"]
+    summary = VerificationSummary(6, (1,))
+    _check_homomorphism(g, perms, mats, gens, summary)
+    return summary.criteria["homomorphism"]
 
 
 def _matrices(g, perms):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,9 @@ import homrep.cli
 import homrep.rep
 from helpers import matrix_mod_p, reference_random_tree
 from homrep import IntMatrix, basis_from_tree, parse_edge_list
-from homrep.cli import main
+from homrep.cli import EXIT_MEMORY, main
+from homrep.families import FAMILY_MAX_EDGES
+from homrep.matrices import PRIME_TEST_BOUND
 
 
 _K4_BASIS = homrep.spanning_tree_basis(homrep.named_family("complete", 4))
@@ -224,6 +227,18 @@ class TestRep:
         assert code == 2 and out == ""
         assert err == f"error: {p} is not prime\n"
 
+    def test_mod_p_large_prime(self, capsys):
+        code, out, err = run_cli(capsys, "rep", "--family", "cycle", "4",
+                                 "--mod-p", "10000000000000061")
+        assert code == 0 and err == ""
+        assert "mod 10000000000000061:\n10000000000000060\n" in out
+
+    @pytest.mark.parametrize("p", [PRIME_TEST_BOUND, 10 ** 30])
+    def test_mod_p_above_the_test_bound_exit_2(self, capsys, p):
+        code, out, err = run_cli(capsys, "rep", "--family", "cycle", "4", "--mod-p", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(PRIME_TEST_BOUND) in err
+
     def test_json_edges_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "rep", "--family", "bowtie", "5", "--json")
         data = json.loads(out)
@@ -256,6 +271,25 @@ class TestClassify:
     def test_long_path_exit_3(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--family", "path", "1500")
         assert code == 3 and "TreeWithSymmetry" in out and err == ""
+
+    def test_oversized_family_exit_2_without_a_graph(self, capsys, monkeypatch):
+        def no_graph(n, edges):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(homrep.families, "Graph", no_graph)
+        code, out, err = run_cli(capsys, "classify", "--family", "complete", "30000")
+        assert code == 2 and out == ""
+        assert err == ("error: complete 30000 would have 449985000 edges; "
+                       f"named families are limited to {FAMILY_MAX_EDGES}\n")
+
+    def test_memory_error_exit_code(self, capsys, monkeypatch):
+        def exhausted(name, size):
+            raise MemoryError
+
+        monkeypatch.setattr(homrep.cli, "named_family", exhausted)
+        code, out, err = run_cli(capsys, "classify", "--family", "cycle", "5")
+        assert code == EXIT_MEMORY and out == ""
+        assert err == "error: out of memory; try a smaller input\n"
 
 
 class TestVerify:
@@ -589,3 +623,100 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         proc = run_child(*argv)
         assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
     assert homrep.cli.build_parser() is homrep.cli.build_parser()
+
+
+# --------------------------------------------------------------- CLI inputs
+# Each value is drawn valid three times in four, so that most calls get
+# past option checking; the rest are malformed, out of range or too large.
+def _mostly(valid, invalid):
+    return st.integers(0, 3).flatmap(lambda i: invalid if i == 3 else valid)
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 7 vertices, connected unless a tree edge is dropped."""
+    n = draw(st.integers(1, 7))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        edges.add((u, v))
+    if edges and draw(st.integers(0, 3)) == 3:  # one time in four
+        edges.discard(min(edges))
+    return homrep.Graph(n, edges)
+
+
+EDGE_LIST_TEXT = _mostly(
+    small_graphs().map(homrep.format_edge_list),
+    st.text(alphabet="0123456789 -n#x\n", max_size=24))
+FAMILY = st.tuples(
+    _mostly(st.sampled_from(["cycle", "complete", "star", "path", "bowtie"]), st.just("cube")),
+    # sizes past the named-family bound for every family
+    _mostly(st.integers(1, 6), st.integers(-2, 0) | st.integers(FAMILY_MAX_EDGES + 2, 10 ** 12)))
+GRAPH6 = _mostly(small_graphs().map(homrep.to_graph6),
+                 st.text(alphabet=[chr(c) for c in range(62, 127)], min_size=1, max_size=6))
+GRAPH_SOURCES = st.one_of(
+    st.just(("--input", "-")),
+    FAMILY.map(lambda f: ("--family", f[0], str(f[1]))),
+    GRAPH6.map(lambda text: ("--g6", text)))
+# primes, small integers, and values at the primality test's bound
+MOD_P = st.one_of(st.sampled_from([2, 3, 7, 10 ** 16 + 61]), st.integers(-3, 40),
+                  st.sampled_from([PRIME_TEST_BOUND - 2, PRIME_TEST_BOUND, 10 ** 30]))
+TREE_SPECS = st.integers(1, 4).flatmap(lambda size: st.tuples(
+    st.just(-1), *(st.integers(0, i - 1) for i in range(1, size))))
+
+
+@st.composite
+def gen_args(draw):
+    """gen's n, k and tree specs: mostly a valid period, or any small values."""
+    if draw(st.integers(0, 3)) < 3:
+        k = draw(st.integers(1, 3))
+        n = k * draw(st.integers(3 if k == 1 else 2, 3))
+        specs = draw(st.lists(TREE_SPECS, min_size=k, max_size=k))
+    else:
+        n, k = draw(st.integers(-1, 9)), draw(st.integers(-1, 9))
+        specs = draw(st.lists(st.lists(st.integers(-2, 3), max_size=4), min_size=1,
+                              max_size=3))
+    return (str(n), str(k), *("[" + ",".join(map(str, ps)) + "]" for ps in specs))
+
+
+def _flag(name, values):
+    return st.one_of(st.just(()), values.map(lambda v: (name, str(v))))
+
+
+@st.composite
+def cli_calls(draw, command):
+    """An argv for the subcommand, and the text on stdin."""
+    json_flag = draw(st.sampled_from([(), ("--json",)]))
+    if command == "verify":
+        seeds = draw(_mostly(st.lists(st.integers(-3, 9), min_size=1, max_size=3), st.just([])))
+        n_max = draw(_mostly(st.integers(2, 3), st.integers(-1, 1)))
+        argv = ("verify", "--n-max", str(n_max), "--seeds", ",".join(map(str, seeds)))
+    elif command == "gen":
+        argv = ("gen", *draw(gen_args()))
+    else:
+        argv = (command, *draw(GRAPH_SOURCES))
+        if command == "rep":
+            # a small cap keeps every group that is enumerated small
+            cap = draw(_mostly(st.integers(1, 2000), st.integers(-1, 0)))
+            argv += ("--cap", str(cap), *draw(_flag("--mod-p", MOD_P)),
+                     *draw(st.sampled_from([(), ("--tree", "rand")])),
+                     *draw(_flag("--seed", st.integers(-10 ** 6, 10 ** 6))),
+                     *draw(st.sampled_from([(), ("--kernel-only",)])))
+    return argv + json_flag, draw(EDGE_LIST_TEXT)
+
+
+@pytest.mark.parametrize("command", ["info", "rep", "classify", "verify", "gen"])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_inputs_end_in_a_documented_exit_code(command, data):
+    argv, stdin = data.draw(cli_calls(command))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -71,7 +71,7 @@ class TestDeterministicBasis:
 
     def test_partition_of_edges(self, bowtie):
         b = spanning_tree_basis(bowtie)
-        cotree_edges = {d.edge for d in b.cotree}
+        cotree_edges = set(b.cotree)  # co-tree darts run (u, v) with u < v
         assert b.tree_edges | cotree_edges == set(bowtie.edges)
         assert not b.tree_edges & cotree_edges
 

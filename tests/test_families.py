@@ -1,5 +1,6 @@
 import pytest
 
+import homrep.families
 from homrep import (
     RootedTreeSpec,
     betti,
@@ -10,6 +11,7 @@ from homrep import (
     named_family,
     spanning_tree_basis,
 )
+from homrep.families import FAMILY_MAX_EDGES
 
 
 class TestRootedTreeSpec:
@@ -113,3 +115,31 @@ class TestNamedFamily:
     def test_invalid_sizes(self, name, size):
         with pytest.raises(ValueError):
             named_family(name, size)
+
+
+class TestFamilySizeGuard:
+    """Sizes at and past FAMILY_MAX_EDGES, with Graph replaced so that no
+    large graph is built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(homrep.families, "Graph", lambda n, edges: calls.append(n))
+        return calls
+
+    @pytest.mark.parametrize("name,size", [
+        ("complete", 30000), ("complete", 4473), ("cycle", FAMILY_MAX_EDGES + 1),
+        ("star", FAMILY_MAX_EDGES + 1), ("path", FAMILY_MAX_EDGES + 2)])
+    def test_refused_before_anything_is_built(self, built, name, size):
+        with pytest.raises(ValueError, match=f"limited to {FAMILY_MAX_EDGES}"):
+            named_family(name, size)
+        assert built == []
+
+    @pytest.mark.parametrize("name,size,n", [
+        ("complete", 4472, 4472),  # 9,997,156 edges
+        ("cycle", FAMILY_MAX_EDGES, FAMILY_MAX_EDGES),
+        ("star", FAMILY_MAX_EDGES, FAMILY_MAX_EDGES + 1),
+        ("path", FAMILY_MAX_EDGES + 1, FAMILY_MAX_EDGES + 1)])
+    def test_largest_allowed_size_reaches_graph(self, built, name, size, n):
+        named_family(name, size)
+        assert built == [n]

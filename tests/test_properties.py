@@ -51,7 +51,7 @@ def test_edge_list_round_trip(g):
 def test_basis_partitions_edges(g):
     b = spanning_tree_basis(g)
     assert is_connected(g)
-    cotree_edges = {d.edge for d in b.cotree}
+    cotree_edges = set(b.cotree)  # co-tree darts run (u, v) with u < v
     assert len(b.tree_edges) == g.n - 1
     assert b.tree_edges | cotree_edges == set(g.edges)
     assert b.beta == g.num_edges - g.n + 1

@@ -25,9 +25,10 @@ from helpers import (
     laplace_determinant,
     matrix_mod_p,
     signed_incidence_matrix,
+    trial_division_is_prime,
 )
 from homrep.cli import _reducer
-from homrep.matrices import is_prime
+from homrep.matrices import PRIME_TEST_BOUND, is_prime
 from homrep.rep import _gather, _is_kernel_perm
 from homrep.verify import DEFAULT_SEEDS
 
@@ -258,6 +259,27 @@ class TestModP:
     def test_rejects_composite(self):
         assert [p for p in range(-3, 30) if is_prime(p)] == [
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_is_prime_matches_trial_division_below_1e5(self):
+        assert [p for p in range(-3, 10 ** 5) if is_prime(p)] == [
+            p for p in range(-3, 10 ** 5) if trial_division_is_prime(p)]
+
+    @pytest.mark.parametrize("q", [2047, 1373653, 25326001, 3215031751,
+                                   3825123056546413051])
+    def test_is_prime_rejects_strong_pseudoprimes(self, q):
+        # the least strong pseudoprimes to the first 1, 2, 3, 4 and 9 prime
+        # bases; each has a factor below 2 * 10^5
+        assert any(q % d == 0 for d in range(2, 2 * 10 ** 5))
+        assert not is_prime(q)
+
+    def test_is_prime_on_large_primes(self):
+        assert is_prime(2 ** 61 - 1) and is_prime(10 ** 16 + 61) and is_prime(10 ** 18 + 3)
+        assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+
+    def test_is_prime_refuses_what_it_cannot_decide(self):
+        # the bound is itself a strong pseudoprime to all twelve bases
+        with pytest.raises(ValueError, match=str(PRIME_TEST_BOUND)):
+            is_prime(PRIME_TEST_BOUND)
 
     def test_kernel_mod_three_k4(self, k4):
         kernel = _kernel_mod(k4, spanning_tree_basis(k4), 3)
