@@ -123,13 +123,15 @@ def _transversal(base: int, gens: list[tuple[int, ...]], ident: tuple[int, ...]
 
 
 def stabiliser_chain(n: int, adj_masks: list[int], cap: int
-                     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
+                     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | int:
     """Strong generators for the base 0..n-1 and every adjacency-preserving
     permutation, in the search's order: lexicographic, identity first.
 
-    None when the group order exceeds cap; the running product of the
-    orbit lengths is checked as each level completes, so a large group
-    is refused before any of its elements is built.
+    The running product of the orbit lengths is checked as each level
+    completes, so a large group is refused before any of its elements is
+    built: when the product exceeds cap, it is returned instead.  It is
+    the order of the stabiliser of the base points not yet reached, so a
+    lower bound on the group order.
     """
     same_degree, below = _tables(adj_masks)
     ident = tuple(range(n))
@@ -159,7 +161,7 @@ def stabiliser_chain(n: int, adj_masks: list[int], cap: int
                 trans = _transversal(i, gens, ident)
         order *= len(trans)
         if order > cap:
-            return None
+            return order
         if len(trans) > 1:
             levels.append(list(trans.values())[1:])
     perms = [ident]

@@ -81,10 +81,10 @@ def automorphism_chain(g: Graph, cap: int = DEFAULT_CAP
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     chain = _kernels.stabiliser_chain(g.n, g.adjacency_masks(), cap)
-    if chain is None:
+    if isinstance(chain, int):
         raise CapacityError(
-            f"automorphism group order exceeds the cap of {cap}; "
-            "raise the cap to enumerate this group")
+            f"automorphism group order exceeds the cap of {cap} (at least {chain} "
+            "automorphisms); raise the cap to enumerate this group")
     return chain
 
 

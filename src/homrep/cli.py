@@ -91,28 +91,36 @@ _INDENT = "  "
 # threshold, fragmented the heap: C1500's `rep --json` into a StringIO peaked
 # at 308 MB RSS, not 237 (2 vCPUs, Python 3.11.7)
 _CHUNK = 1 << 18
+# the element types of a flat list, built once: a set built per call cost
+# 5% of the writer's time on K5's `rep --json` (2 vCPUs, Python 3.11.7)
+_INTS = frozenset({int})
+_ROWS = frozenset({list, tuple})
 
 
-def _flat(o, nl: str, rows: dict) -> str | None:
+def _flat(o, nl: str, memo: dict) -> str | None:
     """Text of o, a list or tuple whose line starts at nl, when it is
     empty, holds only plain ints, or holds only lists and tuples that are
-    flat in turn (a matrix); None otherwise.  rows maps (id(row), indent)
-    to (row, its text or None) for the tuple rows met so far: the entry
-    holds the row, so that its id is not reused while the call runs."""
+    flat in turn (a matrix); None otherwise.  memo maps an indent to a
+    table id(row) -> (row, its text or None) of the tuple rows met so far
+    at that indent: the entry holds the row, so that its id is not reused
+    while the writer runs."""
     if not o:
         return "[]"
     inner = nl + _INDENT
     types = set(map(type, o))
-    if types == {int}:
+    if types == _INTS:
         texts = map(str, o)
-    elif types <= {list, tuple}:
+    elif types <= _ROWS:
+        rows = memo.get(inner)
+        if rows is None:
+            rows = memo[inner] = {}
         texts = []
         for row in o:
-            hit = rows.get((id(row), inner))
+            hit = rows.get(id(row))
             if hit is None:
-                hit = row, _flat(row, inner, rows)
+                hit = row, _flat(row, inner, memo)
                 if type(row) is tuple:
-                    rows[id(row), inner] = hit
+                    rows[id(row)] = hit
             if hit[1] is None:
                 return None
             texts.append(hit[1])
@@ -121,67 +129,88 @@ def _flat(o, nl: str, rows: dict) -> str | None:
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _emit(o, nl: str, write, rows: dict) -> None:
-    """Write json.dumps(o, indent=2) for a value whose line starts at nl,
-    each container that is not flat one element at a time."""
-    inner = nl + _INDENT
-    if isinstance(o, dict):
-        sep = "{" + inner
-        for k, v in o.items():
-            if isinstance(k, str):
-                k = _string(k)
-            elif k is None or isinstance(k, (int, float)):  # bool is an int
-                k = '"' + _scalar(k) + '"'
-            else:
-                raise TypeError(f"keys must be str, int, float, bool or None, "
-                                f"not {k.__class__.__name__}")
-            t = type(v)  # an int or a flat list is written with its key
-            text = (str(v) if t is int else
-                    _flat(v, inner, rows) if t is list or t is tuple else None)
-            if text is None:
-                write(sep + k + ": ")
-                _emit(v, inner, write, rows)
-            else:
-                write(sep + k + ": " + text)
-            sep = "," + inner
-        write(nl + "}" if o else "{}")
-    elif isinstance(o, (list, tuple)):
-        text = _flat(o, nl, rows)
-        if text is None:
-            sep = "[" + inner
-            for x in o:
-                write(sep)
-                _emit(x, inner, write, rows)
-                sep = "," + inner
-            text = nl + "]"
-        write(text)
-    elif isinstance(o, str):
-        write(_string(o))
-    else:
-        write(_scalar(o))
+def _key(k) -> str:
+    """A dict key as json writes it, with the colon after it."""
+    if isinstance(k, str):
+        return _string(k) + ": "
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return '"' + _scalar(k) + '": '
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
 
 
 def _print_json(obj) -> None:
     """Exactly json.dump(obj, sys.stdout, indent=2) and a newline.
 
-    The pieces reach stdout in chunks of about _CHUNK characters, so no
-    report is held whole and a file is not written once per piece."""
+    The pieces are appended to one chunk, and its size is checked once
+    per streamed element: a dict entry, or an element of a list that is
+    not flat.  The chunk reaches stdout when it holds about _CHUNK
+    characters, so no report is held whole and a file is not written
+    once per piece."""
     out = sys.stdout
-    chunk = []
+    chunk: list[str] = []
+    put = chunk.append
     size = 0
+    keys: dict[str, str] = {}  # each str key's text, encoded once per call
+    memo: dict[str, dict] = {}
 
-    def write(piece: str) -> None:
+    def flush() -> None:
         nonlocal size
-        chunk.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            out.write("".join(chunk))
-            chunk.clear()
-            size = 0
+        out.write("".join(chunk))
+        chunk.clear()
+        size = 0
 
-    _emit(obj, "\n", write, {})
-    chunk.append("\n")
-    out.write("".join(chunk))
+    def emit(o, nl: str) -> None:
+        """Append the text of o, a value whose line starts at nl."""
+        nonlocal size
+        inner = nl + _INDENT
+        if isinstance(o, dict):
+            sep, comma = "{" + inner, "," + inner
+            for k, v in o.items():
+                key = keys.get(k)
+                if key is None:
+                    key = _key(k)
+                    if type(k) is str:
+                        keys[k] = key
+                t = type(v)  # an int or a flat list is written with its key
+                text = (str(v) if t is int else
+                        _flat(v, inner, memo) if t is list or t is tuple else None)
+                if text is None:
+                    piece = sep + key
+                    put(piece)
+                    size += len(piece)
+                    emit(v, inner)
+                else:
+                    piece = sep + key + text
+                    put(piece)
+                    size += len(piece)
+                if size >= _CHUNK:
+                    piece = text = None  # so that the flush frees a long text
+                    flush()
+                sep = comma
+            piece = nl + "}" if o else "{}"
+        elif isinstance(o, (list, tuple)):
+            piece = _flat(o, nl, memo)
+            if piece is None:
+                sep, comma = "[" + inner, "," + inner
+                for x in o:
+                    put(sep)
+                    size += len(sep)
+                    emit(x, inner)
+                    if size >= _CHUNK:
+                        flush()
+                    sep = comma
+                piece = nl + "]"
+        elif isinstance(o, str):
+            piece = _string(o)
+        else:
+            piece = _scalar(o)
+        put(piece)
+        size += len(piece)
+
+    emit(obj, "\n")
+    put("\n")
+    flush()
 
 
 def _basis(args, g: Graph):
@@ -427,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest vertex count to enumerate "
                             f"(2..{ENUMERATION_MAX_VERTICES}, default {ENUMERATION_MAX_VERTICES})")
     p_ver.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
-                       help="comma-separated seeds for the random-tree kernels")
+                       help="comma-separated seeds for the random-tree kernels; "
+                            "write a list that starts with a negative seed as "
+                            "--seeds=-3,2")
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 

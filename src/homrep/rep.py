@@ -10,7 +10,9 @@ The matrix is built row by row as a gather from the basis's cycle-dart
 table Z (`SpanningTreeBasis.cycle_dart_table`), whose rows are keyed by
 the integer dart tail * n + head: entry (i, j) counts the signed
 traversals of the co-tree dart x_i by f(C_j), that is of the dart
-f^-1(x_i) by C_j, so row i of the matrix of f is Z[f^-1(x_i)].
+f^-1(x_i) by C_j, so row i of the matrix of f is Z[f^-1(x_i)].  The
+gather takes the inverses, so a caller that gathers one group in
+several bases inverts each element once.
 
 Every matrix has entries in {-1, 0, 1} and determinant +/-1; the kernel
 is the set of automorphisms mapped to the identity matrix, the mod p
@@ -19,6 +21,7 @@ kernel those mapped to the identity mod p; `_is_kernel_perm` tests both.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .autgroup import DEFAULT_CAP, Automorphism, automorphisms
@@ -27,12 +30,21 @@ from .graphs import Graph
 from .matrices import IntMatrix
 
 
-def _gather(perm: tuple[int, ...], b: SpanningTreeBasis) -> tuple[tuple[int, ...], ...]:
-    """Rows of the matrix of an automorphism's permutation in basis b."""
-    n = len(perm)
-    inv = dict(zip(perm, range(n)))
-    table = b.cycle_dart_table()
-    return tuple([table[inv[u] * n + inv[v]] for u, v in b.cotree])
+def _inverses(perms, n: int) -> Iterator[dict[int, int]]:
+    """The inverse of each permutation of 0..n-1 in perms, in turn, as a
+    map from each image to its point: the form of an automorphism that
+    `_gather` reads.  A caller that gathers in several bases keeps them
+    as a list; one gather takes them one at a time, so that a large
+    graph's group never holds all its inverses at once."""
+    points = range(n)
+    return (dict(zip(p, points)) for p in perms)
+
+
+def _gather(invs, b: SpanningTreeBasis) -> list[tuple[tuple[int, ...], ...]]:
+    """Rows of the matrix in basis b of each automorphism whose inverse
+    (from `_inverses`) invs lists, in its order; one read of the table."""
+    n, table, cotree = b.graph.n, b.cycle_dart_table(), b.cotree
+    return [tuple([table[inv[u] * n + inv[v]] for u, v in cotree]) for inv in invs]
 
 
 def _is_kernel_perm(rows: tuple[tuple[int, ...], ...], p: int | None = None) -> bool:
@@ -46,9 +58,10 @@ def _is_kernel_perm(rows: tuple[tuple[int, ...], ...], p: int | None = None) -> 
 
 def matrix_of(f: Automorphism, b: SpanningTreeBasis) -> IntMatrix:
     """Matrix of f in basis b; the empty 0x0 matrix when beta = 0."""
-    if f.graph != b.graph:
+    g = f.graph
+    if g != b.graph:
         raise ValueError("automorphism and basis belong to different graphs")
-    return IntMatrix._square(_gather(f.perm, b))
+    return IntMatrix._square(_gather(_inverses([f.perm], g.n), b)[0])
 
 
 @dataclass
@@ -76,13 +89,10 @@ def representation(g: Graph, b: SpanningTreeBasis | None = None,
         b = spanning_tree_basis(g)
     elif b.graph != g:
         raise ValueError("basis belongs to a different graph")
-    mats: dict[Automorphism, IntMatrix] = {}
-    kernel = []
-    for f in automorphisms(g, cap):
-        m = matrix_of(f, b)
-        mats[f] = m
-        if _is_kernel_perm(m.rows):
-            kernel.append(f)
+    group = automorphisms(g, cap)
+    gathered = _gather(_inverses((f.perm for f in group), g.n), b)
+    kernel = [f for f, rows in zip(group, gathered) if _is_kernel_perm(rows)]
+    mats = dict(zip(group, map(IntMatrix._square, gathered)))
     return RepresentationReport(
         basis=b, matrices=mats, kernel=tuple(kernel), faithful=len(kernel) == 1)
 

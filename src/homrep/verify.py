@@ -37,7 +37,7 @@ from .cycles import cycle_coordinates, random_spanning_tree_basis, spanning_tree
 from .graphs import (ENUMERATION_MAX_VERTICES, Graph, enumerate_connected_graphs,
                      format_edge_list)
 from .matrices import IntMatrix, determinant
-from .rep import _gather, _is_kernel_perm, change_of_basis
+from .rep import _gather, _inverses, _is_kernel_perm, change_of_basis
 
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 MOD2_REPRODUCER_LIMIT = 5
@@ -233,7 +233,8 @@ def _check_graph(g: Graph, s: VerificationSummary) -> None:
     s.record("automorphism_chain", perms == searched, g,
              f"the stabiliser chain's list differs from the search's "
              f"({len(perms)} and {len(searched)} automorphisms)")
-    mats = {p: IntMatrix._square(_gather(p, b)) for p in perms}
+    invs = list(_inverses(perms, g.n))  # one inverse per automorphism serves every basis
+    mats = dict(zip(perms, map(IntMatrix._square, _gather(invs, b))))
     kernel = [p for p in perms if _is_kernel_perm(mats[p].rows)]
     kernel_set = set(kernel)
 
@@ -304,7 +305,7 @@ def _check_graph(g: Graph, s: VerificationSummary) -> None:
     # criterion 3: kernel does not depend on the spanning tree
     for seed in s.seeds:
         b2 = random_spanning_tree_basis(g, seed)
-        rows2 = {p: _gather(p, b2) for p in perms}
+        rows2 = dict(zip(perms, _gather(invs, b2)))
         kernel2 = {p for p in perms if _is_kernel_perm(rows2[p])}
         s.record("basis_independence", kernel2 == kernel_set, g,
                  f"kernel changed under random tree (seed {seed})")

@@ -340,3 +340,45 @@ def colour_refinement_classes(g: Graph) -> int:
         if len(ids) == len(set(colour)):
             return len(ids)
         colour = refined
+
+
+def rep_groups_graphs() -> dict[str, tuple[Graph, tuple[str, ...]]]:
+    """The benchmark's `rep --json` graphs that graph6 can encode (fewer
+    than 63 vertices), by name, with the flags the benchmark adds."""
+    def complete(n):
+        return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+    def bipartite(k):
+        return Graph(2 * k, [(a, b) for a in range(k) for b in range(k, 2 * k)])
+
+    def cube(d):
+        return Graph(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d)
+                              if not v >> i & 1])
+
+    def star(k):
+        return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+
+    petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    prism = ([(i, (i + 1) % 3) for i in range(3)] + [(i + 3, (i + 1) % 3 + 3) for i in range(3)]
+             + [(i, i + 3) for i in range(3)])
+    wheel = [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)]
+    return {
+        "K4": (complete(4), ()),
+        "K5": (complete(5), ()),
+        "K3,3": (bipartite(3), ()),
+        "Q3": (cube(3), ()),
+        "prism-3": (Graph(6, prism), ()),
+        "octahedron": (Graph(6, [(a, b) for a in range(6) for b in range(a + 1, 6)
+                                 if b - a != 3]), ()),
+        "wheel-6": (Graph(7, wheel), ()),
+        "C12": (Graph(12, [(i, (i + 1) % 12) for i in range(12)]), ()),
+        "star-4": (star(4), ()),
+        "petersen": (Graph(10, petersen), ()),
+        "K6": (complete(6), ()),
+        "K7": (complete(7), ("--mod-p", "3")),
+        "K8": (complete(8), ("--kernel-only",)),
+        "Q4": (cube(4), ()),
+        "K4,4": (bipartite(4), ()),
+        "star-7": (star(7), ()),
+    }

@@ -28,7 +28,7 @@ from homrep import (
 )
 from homrep.autgroup import automorphism_chain
 from homrep.matrices import IntMatrix
-from homrep.rep import _gather
+from homrep.rep import _gather, _inverses
 from homrep.verify import VerificationSummary, _check_homomorphism, _kernel_structure_check
 from helpers import (
     all_increasing_parent_arrays,
@@ -106,7 +106,7 @@ def _homomorphism_check(g, perms, mats, gens):
 
 def _matrices(g, perms):
     b = spanning_tree_basis(g)
-    return {p: IntMatrix(_gather(p, b)) for p in perms}
+    return dict(zip(perms, map(IntMatrix, _gather(_inverses(perms, g.n), b))))
 
 
 @pytest.mark.parametrize("g", [named_family("complete", 6), K33], ids=["K6", "K33"])

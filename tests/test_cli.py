@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import homrep
 import homrep.cli
 import homrep.rep
-from helpers import matrix_mod_p, reference_random_tree
+from helpers import matrix_mod_p, reference_random_tree, rep_groups_graphs
 from homrep import IntMatrix, basis_from_tree, parse_edge_list
 from homrep.cli import EXIT_MEMORY, main
 from homrep.families import FAMILY_MAX_EDGES
@@ -22,8 +22,8 @@ from homrep.matrices import PRIME_TEST_BOUND
 
 
 _K4_BASIS = homrep.spanning_tree_basis(homrep.named_family("complete", 4))
-K4_ROTATION_ROWS = {homrep.rep._gather(p, _K4_BASIS)
-                    for p in [(1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]}
+K4_ROTATION_ROWS = set(homrep.rep._gather(
+    homrep.rep._inverses([(1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)], 4), _K4_BASIS))
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +317,14 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--n-max", "4", *flags, *mode)
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_negative_first_seed_is_written_with_an_equals_sign(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--seeds=-3,2", "--json")
+        assert code == 0 and json.loads(out)["seeds"] == [-3, 2]
+        # argparse reads a separate "-3,2" as an option: a usage error
+        proc = run_child("verify", "--n-max", "3", "--seeds", "-3,2")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "expected one argument" in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("kwargs", [{"seeds": ()}], ids=["seeds"])
     def test_verify_corpus_rejects_vacuous_options(self, kwargs):
         with pytest.raises(ValueError):
@@ -342,8 +350,8 @@ class TestVerify:
 
         gather = homrep.rep._gather
 
-        def transposed(perm, b):
-            return tuple(zip(*gather(perm, b)))
+        def transposed(invs, b):
+            return [tuple(zip(*rows)) for rows in gather(invs, b)]
 
         monkeypatch.setattr(homrep.rep, "_gather", transposed)
         monkeypatch.setattr(homrep.verify, "_gather", transposed)
@@ -401,8 +409,8 @@ class TestVerify:
 
         gather = homrep.rep._gather
 
-        def transposed(perm, b):
-            return tuple(zip(*gather(perm, b)))
+        def transposed(invs, b):
+            return [tuple(zip(*rows)) for rows in gather(invs, b)]
 
         monkeypatch.setattr(homrep.rep, "_gather", transposed)
         monkeypatch.setattr(homrep.verify, "_gather", transposed)
@@ -515,6 +523,7 @@ class Colour(enum.IntEnum):
 
 
 SHARED_LIST_ROW = [1, 2]
+REP_GROUPS = rep_groups_graphs()
 
 
 def print_json_output(obj) -> str:
@@ -553,6 +562,18 @@ class TestJson:
         assert out == json.dumps(printed[0], indent=2) + "\n"
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    @pytest.mark.parametrize("tree", [("--tree", "rand", "--seed", "1"), ("--tree", "det")],
+                             ids=["rand", "det"])
+    @pytest.mark.parametrize("name", list(REP_GROUPS))
+    def test_rep_json_on_the_benchmark_graphs(self, capsys, name, tree):
+        # the matrices of a whole group, as one gather loop builds them
+        # and the writer streams them, with the benchmark's own flags
+        g, flags = REP_GROUPS[name]
+        code, out, _ = run_cli(capsys, "rep", "--g6", homrep.to_graph6(g), *tree,
+                               "--json", *flags)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     @settings(max_examples=400, deadline=None)
     @given(JSON_VALUES)
     def test_emitter_matches_stdlib(self, obj):
@@ -575,10 +596,14 @@ class TestJson:
         assert print_json_output(obj) == json.dumps(obj, indent=2) + "\n"
 
     def test_emitter_memoises_only_tuple_rows(self):
-        shared, fresh = (1, 2), [1, 2]
-        rows = {}
-        homrep.cli._emit({"a": [shared, fresh, shared], "b": [[3], (4,)]}, "\n", [].append, rows)
-        assert sorted(row for row, _ in rows.values()) == [(1, 2), (4,)]
+        shared, fresh, last = (1, 2), [1, 2], (4,)
+        memo = {}
+        for o in ([shared, fresh, shared], [[3], last]):
+            homrep.cli._flat(o, "\n  ", memo)
+        # one table for the rows' indent, keyed by each tuple row's id
+        assert list(memo) == ["\n    "]
+        assert {key: row for key, (row, _) in memo["\n    "].items()} == {
+            id(shared): shared, id(last): last}
 
     def test_large_output_is_written_in_bounded_chunks(self, monkeypatch):
         writes = []

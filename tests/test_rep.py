@@ -11,7 +11,6 @@ from homrep import (
     change_of_basis,
     cycle_coordinates,
     determinant,
-    enumerate_connected_graphs,
     matrix_of,
     named_family,
     random_spanning_tree_basis,
@@ -24,12 +23,13 @@ from helpers import (
     inverse_unimodular,
     laplace_determinant,
     matrix_mod_p,
+    rep_groups_graphs,
     signed_incidence_matrix,
     trial_division_is_prime,
 )
 from homrep.cli import _reducer
 from homrep.matrices import PRIME_TEST_BOUND, is_prime
-from homrep.rep import _gather, _is_kernel_perm
+from homrep.rep import _gather, _inverses, _is_kernel_perm
 from homrep.verify import DEFAULT_SEEDS
 
 
@@ -56,6 +56,16 @@ class TestIntMatrix:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             IntMatrix(((1, 2), (3,)))
+
+    @pytest.mark.parametrize("name", ["K5", "petersen", "star-4", "C12"])
+    def test_group_gather_matches_matrix_of(self, name):
+        # the one gather loop of representation against one gather per element
+        g = rep_groups_graphs()[name][0]
+        b = random_spanning_tree_basis(g, 3)
+        report = representation(g, b)
+        assert report.group_order == len(automorphisms(g))
+        for f, m in report.matrices.items():
+            assert m == matrix_of(f, b), f
 
     def test_gathers_and_products_skip_the_square_check(self, monkeypatch):
         checked = []
@@ -236,8 +246,10 @@ class TestChangeOfBasis:
 
 
 def _kernel_mod(g, b, p):
-    """The mod p kernel as the verifier reads it: one gather per element."""
-    return [f for f in automorphisms(g) if _is_kernel_perm(_gather(f.perm, b), p)]
+    """The mod p kernel as the verifier reads it: one gather of the group."""
+    group = automorphisms(g)
+    rows = _gather(_inverses([f.perm for f in group], g.n), b)
+    return [f for f, m in zip(group, rows) if _is_kernel_perm(m, p)]
 
 
 class TestModP:
@@ -336,9 +348,10 @@ class TestTableBuilds:
         made, builds, reads = counts
         b = spanning_tree_basis(k4)
         representation(k4, b)
+        assert reads[id(b)] == 1  # one read gathers the whole group
         for f in automorphisms(k4):
-            _is_kernel_perm(_gather(f.perm, b), 3)
-        assert reads[id(b)] == 2 * 24 and builds == {id(b): 1}
+            matrix_of(f, b)
+        assert reads[id(b)] == 1 + 24 and builds == {id(b): 1}
 
     @pytest.mark.parametrize("seeds", [DEFAULT_SEEDS, (7, 8)])
     def test_verifier_builds_one_basis_per_tree(self, counts, seeds):
@@ -349,9 +362,6 @@ class TestTableBuilds:
         assert len(per_graph) == summary.graphs_total
         assert set(per_graph.values()) == {1 + len(seeds)}
         assert set(builds.values()) == {1}
-        # one gather per automorphism and basis: every kernel reads those
+        # one gather of the group per basis: every kernel reads those
         # rows; change_of_basis reads each random tree's table once more
-        group_orders = sum(len(automorphisms(g)) for n in range(2, 5)
-                           for g in enumerate_connected_graphs(n))
-        assert sum(reads.values()) == ((1 + len(seeds)) * group_orders
-                                       + len(seeds) * summary.graphs_total)
+        assert sum(reads.values()) == (1 + 2 * len(seeds)) * summary.graphs_total
