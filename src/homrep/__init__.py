@@ -11,7 +11,6 @@ from .autgroup import (
     DEFAULT_CAP,
     Automorphism,
     automorphisms,
-    has_nontrivial_automorphism,
     identity_automorphism,
 )
 from .blocks import (
@@ -34,7 +33,6 @@ from .cycles import (
     basis_from_tree,
     betti,
     cycle_coordinates,
-    fundamental_cycle,
     random_spanning_tree_basis,
     spanning_tree_basis,
 )
@@ -50,7 +48,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .matrices import IntMatrix, determinant
+from .matrices import determinant
 from .rep import (
     RepresentationReport,
     change_of_basis,
@@ -72,7 +70,6 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "HomrepError",
-    "IntMatrix",
     "OrientedCycle",
     "PendantTree",
     "RepresentationReport",
@@ -94,8 +91,6 @@ __all__ = [
     "determinant",
     "enumerate_connected_graphs",
     "format_edge_list",
-    "fundamental_cycle",
-    "has_nontrivial_automorphism",
     "identity_automorphism",
     "is_connected",
     "is_periodic_unicyclic",

@@ -26,8 +26,8 @@ with 0..i-1 fixed and i -> w that stops at its first leaf.  These
 searches are exhaustive, so they certify the level's orbit; the
 orbits' transversals follow from the generators by composition, and
 the group order is the product of the orbit lengths, known before any
-element is built.  `search_automorphisms` stays as the independent
-oracle and as the early-exit symmetry test.
+element is built.  `search_automorphisms` stays as the verifier's
+independent oracle.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ def _descend(adj_masks: list[int], same_degree: list[int], below: list[int],
 def search_automorphisms(n: int, adj_masks: list[int], stop_at: int) -> list[tuple[int, ...]]:
     """Collect adjacency-preserving permutations, at most stop_at of them.
 
-    adj_masks[u] has bit v set iff u ~ v, for n >= 1 vertices.  Stopping
-    early at stop_at lets callers implement both group-order caps
-    (stop_at = cap + 1) and early-exit symmetry detection (stop_at = 2).
+    adj_masks[u] has bit v set iff u ~ v, for n >= 1 vertices.  The
+    identity comes first and the search stops at stop_at: the verifier
+    asks for one more than the stabiliser chain's list, so that a missing
+    element shows, and stop_at = 2 tests for a nontrivial automorphism.
     """
     if stop_at < 1:
         raise ValueError("stop_at must be positive")

@@ -96,13 +96,3 @@ def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[Automorphism]:
     group order.
     """
     return [Automorphism._searched(g, p) for p in automorphism_chain(g, cap)[1]]
-
-
-def has_nontrivial_automorphism(g: Graph) -> bool:
-    """True iff some non-identity automorphism exists (early-exit search)."""
-    require_connected(g)
-    # the lexicographically smallest automorphism is the identity, so a
-    # second hit is necessarily nontrivial
-    perms = _kernels.search_automorphisms(g.n, g.adjacency_masks(), 2)
-    return len(perms) == 2
-

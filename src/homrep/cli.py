@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .autgroup import DEFAULT_CAP
@@ -26,7 +27,7 @@ from .errors import CapacityError, DisconnectedGraphError, GraphParseError
 from .families import RootedTreeSpec, build_periodic_unicyclic, named_family
 from .graphs import (ENUMERATION_MAX_VERTICES, Graph, _read_edge_list, format_edge_list,
                      parse_graph6)
-from .matrices import IntMatrix, is_prime
+from .matrices import Matrix, is_prime
 from .rep import representation
 from .verify import DEFAULT_SEEDS, verify_corpus
 
@@ -36,6 +37,7 @@ EXIT_NOT_FAITHFUL = 3  # classify only
 EXIT_CAPACITY = 4  # automorphism group order above --cap
 EXIT_DISAGREEMENT = 5  # verify found a disagreement
 EXIT_MEMORY = 6  # ran out of memory
+EXIT_OUTPUT_CLOSED = 7  # stdout was closed before all output was written
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -265,22 +267,27 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _matrix_text(m: Matrix) -> str:
+    """The rows of m, one line each, entries separated by spaces."""
+    return "\n".join(" ".join(map(str, row)) for row in m)
+
+
 def _reducer(p: int):
-    """IntMatrix -> its entrywise reduction into 0..p-1 for a prime p.
+    """Matrix -> its entrywise reduction into 0..p-1 for a prime p.
 
     The matrices of one report share their rows, so each distinct row
     is reduced once and the reduced matrices share rows in turn.
     """
     reduced: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def reduce(m: IntMatrix) -> IntMatrix:
+    def reduce(m: Matrix) -> Matrix:
         rows = []
-        for row in m.rows:
+        for row in m:
             r = reduced.get(row)
             if r is None:
                 r = reduced[row] = tuple(x % p for x in row)
             rows.append(r)
-        return IntMatrix._square(tuple(rows))
+        return tuple(rows)
 
     return reduce
 
@@ -309,14 +316,15 @@ def cmd_rep(args) -> int:
             },
             "betti": b.beta,
             "group_order": report.group_order,
-            "matrices": [{"perm": f.perm, "matrix": m.to_json()} for f, m in shown],
+            "matrices": [{"perm": f.perm, "matrix": {"dim": len(m), "rows": m}}
+                         for f, m in shown],
             "kernel": [list(f.perm) for f in report.kernel],
             "faithful": report.faithful,
         }
         if mod_p is not None:
             out["mod_p"] = {
                 "p": args.mod_p,
-                "matrices": [{"perm": f.perm, "matrix": mod_p(m).to_json()}
+                "matrices": [{"perm": f.perm, "matrix": {"dim": len(m), "rows": mod_p(m)}}
                              for f, m in shown],
             }
         _print_json(out)
@@ -331,13 +339,10 @@ def cmd_rep(args) -> int:
     for f, m in shown:
         tag = " (kernel)" if f in kernel_set else ""
         print(f"automorphism {list(f.perm)}{tag}")
-        if m.dim:
-            print(m.render_text())
-        else:
-            print("(empty 0x0 matrix)")
+        print(_matrix_text(m) if m else "(empty 0x0 matrix)")
         if mod_p is not None:
             print(f"mod {args.mod_p}:")
-            print(mod_p(m).render_text() or "(empty)")
+            print(_matrix_text(mod_p(m)) or "(empty)")
     print(f"kernel size: {len(report.kernel)}")
     print(f"faithful: {report.faithful}")
     return EXIT_OK
@@ -475,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except (GraphParseError, DisconnectedGraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -485,6 +492,14 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory; try a smaller input", file=sys.stderr)
         return EXIT_MEMORY
+    except BrokenPipeError:
+        # the interpreter flushes stdout at exit: point it at devnull, so
+        # that the flush does not raise again (the note on SIGPIPE in the
+        # documentation of Python's signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OUTPUT_CLOSED
 
 
 if __name__ == "__main__":

@@ -343,17 +343,6 @@ def random_spanning_tree_basis(g: Graph, seed: int) -> SpanningTreeBasis:
     return SpanningTreeBasis._from_parents(g, root, parent, depth)
 
 
-def fundamental_cycle(b: SpanningTreeBasis, i: int) -> OrientedCycle:
-    """The i-th fundamental cycle (1-based, matching cotree order e_1..e_beta).
-
-    Starts with the co-tree dart x_i, followed by the tree path from
-    head(x_i) back to tail(x_i).
-    """
-    if not 1 <= i <= b.beta:
-        raise ValueError(f"cycle index {i} out of range 1..{b.beta}")
-    return b.fundamental_cycles()[i - 1]
-
-
 def cycle_coordinates(c: OrientedCycle, b: SpanningTreeBasis) -> tuple[int, ...]:
     """Homology coordinates of a simple oriented cycle in basis b.
 

@@ -14,9 +14,12 @@ f^-1(x_i) by C_j, so row i of the matrix of f is Z[f^-1(x_i)].  The
 gather takes the inverses, so a caller that gathers one group in
 several bases inverts each element once.
 
-Every matrix has entries in {-1, 0, 1} and determinant +/-1; the kernel
-is the set of automorphisms mapped to the identity matrix, the mod p
-kernel those mapped to the identity mod p; `_is_kernel_perm` tests both.
+A matrix is the tuple of rows the gather builds (`matrices.Matrix`);
+`matrix_of`, `representation` and `change_of_basis` return those rows
+as they are.  Every matrix has entries in {-1, 0, 1} and determinant
++/-1; the kernel is the set of automorphisms mapped to the identity
+matrix, the mod p kernel those mapped to the identity mod p;
+`_is_kernel_perm` tests both.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from .autgroup import DEFAULT_CAP, Automorphism, automorphisms
 from .cycles import SpanningTreeBasis, spanning_tree_basis
 from .graphs import Graph
-from .matrices import IntMatrix
+from .matrices import Matrix, identity
 
 
 def _inverses(perms, n: int) -> Iterator[dict[int, int]]:
@@ -40,36 +43,36 @@ def _inverses(perms, n: int) -> Iterator[dict[int, int]]:
     return (dict(zip(p, points)) for p in perms)
 
 
-def _gather(invs, b: SpanningTreeBasis) -> list[tuple[tuple[int, ...], ...]]:
+def _gather(invs, b: SpanningTreeBasis) -> list[Matrix]:
     """Rows of the matrix in basis b of each automorphism whose inverse
     (from `_inverses`) invs lists, in its order; one read of the table."""
     n, table, cotree = b.graph.n, b.cycle_dart_table(), b.cotree
     return [tuple([table[inv[u] * n + inv[v]] for u, v in cotree]) for inv in invs]
 
 
-def _is_kernel_perm(rows: tuple[tuple[int, ...], ...], p: int | None = None) -> bool:
+def _is_kernel_perm(rows: Matrix, p: int | None = None) -> bool:
     """True iff rows, a matrix that its caller gathered with `_gather`,
     are the identity matrix (mod p if given): the one test of kernel
     membership, integer or mod p, so that each matrix is gathered once."""
-    unit = IntMatrix.identity(len(rows)).rows
+    unit = identity(len(rows))
     return rows == unit or p is not None and all(
         (x - w) % p == 0 for row, unit_row in zip(rows, unit) for x, w in zip(row, unit_row))
 
 
-def matrix_of(f: Automorphism, b: SpanningTreeBasis) -> IntMatrix:
-    """Matrix of f in basis b; the empty 0x0 matrix when beta = 0."""
+def matrix_of(f: Automorphism, b: SpanningTreeBasis) -> Matrix:
+    """Rows of the matrix of f in basis b; () when beta = 0."""
     g = f.graph
     if g != b.graph:
         raise ValueError("automorphism and basis belong to different graphs")
-    return IntMatrix._square(_gather(_inverses([f.perm], g.n), b)[0])
+    return _gather(_inverses([f.perm], g.n), b)[0]
 
 
 @dataclass
 class RepresentationReport:
-    """Full group scan: one matrix per automorphism, plus the kernel."""
+    """Full group scan: one matrix (its rows) per automorphism, plus the kernel."""
 
     basis: SpanningTreeBasis
-    matrices: dict[Automorphism, IntMatrix]
+    matrices: dict[Automorphism, Matrix]
     kernel: tuple[Automorphism, ...]
     faithful: bool
 
@@ -92,12 +95,11 @@ def representation(g: Graph, b: SpanningTreeBasis | None = None,
     group = automorphisms(g, cap)
     gathered = _gather(_inverses((f.perm for f in group), g.n), b)
     kernel = [f for f, rows in zip(group, gathered) if _is_kernel_perm(rows)]
-    mats = dict(zip(group, map(IntMatrix._square, gathered)))
-    return RepresentationReport(
-        basis=b, matrices=mats, kernel=tuple(kernel), faithful=len(kernel) == 1)
+    return RepresentationReport(basis=b, matrices=dict(zip(group, gathered)),
+                                kernel=tuple(kernel), faithful=len(kernel) == 1)
 
 
-def change_of_basis(b_old: SpanningTreeBasis, b_new: SpanningTreeBasis) -> IntMatrix:
+def change_of_basis(b_old: SpanningTreeBasis, b_new: SpanningTreeBasis) -> Matrix:
     """Unimodular matrix P expressing the new cycles in old coordinates.
 
     Column j is the old-basis coordinate vector of the j-th fundamental
@@ -109,5 +111,5 @@ def change_of_basis(b_old: SpanningTreeBasis, b_new: SpanningTreeBasis) -> IntMa
     if b_old.graph != b_new.graph:
         raise ValueError("bases belong to different graphs")
     n, table = b_new.graph.n, b_new.cycle_dart_table()
-    return IntMatrix._square(tuple(table[u * n + v] for u, v in b_old.cotree))
+    return tuple(table[u * n + v] for u, v in b_old.cotree)
 

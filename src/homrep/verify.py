@@ -36,7 +36,7 @@ from .classify import classify, classify_fast_2edge, witness_kernel_element
 from .cycles import cycle_coordinates, random_spanning_tree_basis, spanning_tree_basis
 from .graphs import (ENUMERATION_MAX_VERTICES, Graph, enumerate_connected_graphs,
                      format_edge_list)
-from .matrices import IntMatrix, determinant
+from .matrices import determinant, identity, matmul
 from .rep import _gather, _inverses, _is_kernel_perm, change_of_basis
 
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -201,7 +201,7 @@ def _check_homomorphism(g: Graph, perms, mats, gens, summary: VerificationSummar
     record = summary.record
     ident = tuple(range(g.n))
     reached = [ident] if ident in mats else []
-    record("homomorphism", bool(reached) and mats[ident].is_identity(), g,
+    record("homomorphism", bool(reached) and mats[ident] == identity(len(mats[ident])), g,
            "matrix of the identity is not the identity matrix")
     for p in perms:
         record("homomorphism", abs(determinant(mats[p])) == 1, g,
@@ -215,7 +215,7 @@ def _check_homomorphism(g: Graph, perms, mats, gens, summary: VerificationSummar
                 record("homomorphism", False, g,
                        "a composite of automorphisms is outside the searched group")
                 continue
-            record("homomorphism", mats[fs] == mf @ mats[s], g,
+            record("homomorphism", mats[fs] == matmul(mf, mats[s]), g,
                    "matrix of a composite differs from the matrix product")
             if fs not in seen:
                 seen.add(fs)
@@ -227,15 +227,15 @@ def _check_homomorphism(g: Graph, perms, mats, gens, summary: VerificationSummar
 def _check_graph(g: Graph, s: VerificationSummary) -> None:
     b = spanning_tree_basis(g)
     beta = b.beta
-    unit = IntMatrix.identity(beta).rows
+    unit = identity(beta)
     gens, perms = automorphism_chain(g)
     searched = search_automorphisms(g.n, g.adjacency_masks(), len(perms) + 1)
     s.record("automorphism_chain", perms == searched, g,
              f"the stabiliser chain's list differs from the search's "
              f"({len(perms)} and {len(searched)} automorphisms)")
     invs = list(_inverses(perms, g.n))  # one inverse per automorphism serves every basis
-    mats = dict(zip(perms, map(IntMatrix._square, _gather(invs, b))))
-    kernel = [p for p in perms if _is_kernel_perm(mats[p].rows)]
+    mats = dict(zip(perms, _gather(invs, b)))
+    kernel = [p for p in perms if _is_kernel_perm(mats[p])]
     kernel_set = set(kernel)
 
     # cycle_basis: cotree size and own coordinates
@@ -295,8 +295,8 @@ def _check_graph(g: Graph, s: VerificationSummary) -> None:
                  "degree-two shortcut disagrees with classifier")
 
     # criterion 2: entry range, the gather against the walk, homomorphism, determinants
-    entries_ok = all(abs(x) <= 1 for p in perms for row in mats[p].rows for x in row)
-    walk_ok = all(mats[p].rows == tuple(zip(*_walk_columns(p, b))) for p in perms)
+    entries_ok = all(abs(x) <= 1 for p in perms for row in mats[p] for x in row)
+    walk_ok = all(mats[p] == tuple(zip(*_walk_columns(p, b))) for p in perms)
     s.record("homomorphism", entries_ok and walk_ok, g,
              "matrix entry outside {-1,0,1}" if not entries_ok
              else "gathered matrix differs from the dart walk")
@@ -314,7 +314,7 @@ def _check_graph(g: Graph, s: VerificationSummary) -> None:
             s.record("basis_independence", abs(determinant(p_mat)) == 1, g,
                      f"change-of-basis matrix is not unimodular (seed {seed})")
             for p in perms:  # the conjugacy identity, as P * M_new == M_old * P
-                ok = (p_mat @ IntMatrix._square(rows2[p])).rows == (mats[p] @ p_mat).rows
+                ok = matmul(p_mat, rows2[p]) == matmul(mats[p], p_mat)
                 s.record("basis_independence", ok, g,
                          f"conjugacy identity failed (seed {seed})")
 
@@ -335,12 +335,12 @@ def _check_graph(g: Graph, s: VerificationSummary) -> None:
         s.record("min_degree_two", ok, g, detail)
 
     # criterion 7: mod-p kernels
-    kernel3 = {p for p in perms if _is_kernel_perm(mats[p].rows, 3)}
+    kernel3 = {p for p in perms if _is_kernel_perm(mats[p], 3)}
     s.record("mod_p", kernel3 == kernel_set, g,
              "mod-3 kernel differs from the integer kernel")
     # torsion in the level-2 congruence subgroup has order at most 2
     # (Minkowski), so ker2 / ker is an elementary abelian 2-group
-    kernel2 = {p for p in perms if _is_kernel_perm(mats[p].rows, 2)}
+    kernel2 = {p for p in perms if _is_kernel_perm(mats[p], 2)}
     index, rest = divmod(len(kernel2), len(kernel))
     if not kernel2 >= kernel_set:
         ok, detail = False, "integer kernel is not inside the mod-2 kernel"
@@ -349,7 +349,7 @@ def _check_graph(g: Graph, s: VerificationSummary) -> None:
                              "is not a power of 2")
     else:
         # kernel elements have the identity matrix, so only the excess is squared
-        ok = all((mats[p] @ mats[p]).is_identity() for p in kernel2 - kernel_set)
+        ok = all(matmul(mats[p], mats[p]) == unit for p in kernel2 - kernel_set)
         detail = "a mod-2 kernel element does not square to the identity"
     s.record("mod2_kernel", ok, g, detail)
     if kernel2 > kernel_set:

@@ -12,7 +12,7 @@ import random
 from itertools import permutations
 from math import isqrt
 
-from homrep import Automorphism, Graph, IntMatrix, OrientedCycle
+from homrep import Automorphism, Graph, OrientedCycle
 
 
 def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -76,18 +76,17 @@ def laplace_determinant(rows) -> int:
     return total
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix as det * adjugate, every
-    determinant by cofactor expansion."""
-    rows = m.rows
+def inverse_unimodular(rows) -> tuple[tuple[int, ...], ...]:
+    """Rows of the inverse of a unimodular matrix, given by its rows, as
+    det * adjugate, every determinant by cofactor expansion."""
     det = laplace_determinant(rows)
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {det})")
     n = len(rows)
-    return IntMatrix.from_rows(
-        [det * (-1) ** (i + j) * laplace_determinant(
+    return tuple(
+        tuple(det * (-1) ** (i + j) * laplace_determinant(
             [[x for c, x in enumerate(r) if c != i] for k, r in enumerate(rows) if k != j])
-         for j in range(n)] for i in range(n))
+            for j in range(n)) for i in range(n))
 
 
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:
@@ -102,9 +101,9 @@ def trial_division_is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-def matrix_mod_p(m: IntMatrix, p: int) -> IntMatrix:
-    """Entrywise reduction into 0..p-1."""
-    return IntMatrix(tuple(tuple(x % p for x in row) for row in m.rows))
+def matrix_mod_p(rows, p: int) -> tuple[tuple[int, ...], ...]:
+    """Entrywise reduction of a matrix's rows into 0..p-1."""
+    return tuple(tuple(x % p for x in row) for row in rows)
 
 
 def reversed_cycle(c: OrientedCycle) -> OrientedCycle:

@@ -27,7 +27,6 @@ from homrep import (
     verify_corpus,
 )
 from homrep.autgroup import automorphism_chain
-from homrep.matrices import IntMatrix
 from homrep.rep import _gather, _inverses
 from homrep.verify import VerificationSummary, _check_homomorphism, _kernel_structure_check
 from helpers import (
@@ -106,7 +105,7 @@ def _homomorphism_check(g, perms, mats, gens):
 
 def _matrices(g, perms):
     b = spanning_tree_basis(g)
-    return dict(zip(perms, map(IntMatrix, _gather(_inverses(perms, g.n), b))))
+    return dict(zip(perms, _gather(_inverses(perms, g.n), b)))
 
 
 @pytest.mark.parametrize("g", [named_family("complete", 6), K33], ids=["K6", "K33"])
@@ -120,7 +119,7 @@ def test_criterion_2_product_check_reaches_non_generators(g):
     assert r.checked == 1 + len(perms) + len(perms) * len(gens) + 1
     victim = next(p for p in reversed(perms) if p not in gens)
     # the negated matrix keeps its entries in {-1,0,1} and its determinant +/-1
-    mats[victim] = IntMatrix(tuple(tuple(-x for x in row) for row in mats[victim].rows))
+    mats[victim] = tuple(tuple(-x for x in row) for row in mats[victim])
     r = _homomorphism_check(g, perms, mats, gens)
     report(f"criterion 2: a corrupt non-generator matrix is caught ({len(perms)} elements, "
            f"{len(gens)} generators)", r.violations > 0, f"{r.violations} violations")

@@ -11,7 +11,6 @@ from homrep import (
     automorphisms,
     build_periodic_unicyclic,
     enumerate_connected_graphs,
-    has_nontrivial_automorphism,
     identity_automorphism,
     named_family,
     representation,
@@ -176,21 +175,26 @@ class TestStabiliserChain:
         assert stabiliser_chain(1, [0], 1) == ([], [(0,)])
 
 
+def _has_nontrivial(g):
+    # the identity comes first, so a second permutation is nontrivial
+    return len(search_automorphisms(g.n, g.adjacency_masks(), 2)) == 2
+
+
 class TestHasNontrivial:
     def test_p3(self):
-        assert has_nontrivial_automorphism(named_family("path", 3))
+        assert _has_nontrivial(named_family("path", 3))
 
     def test_k2(self):
-        assert has_nontrivial_automorphism(Graph(2, [(0, 1)]))
+        assert _has_nontrivial(Graph(2, [(0, 1)]))
 
     def test_rigid_seven_vertex_tree(self):
         # oracle: all 5040 permutations leave only the identity
         assert len(brute_force_automorphisms(RIGID_TREE_7)) == 1
-        assert not has_nontrivial_automorphism(RIGID_TREE_7)
+        assert not _has_nontrivial(RIGID_TREE_7)
 
     def test_long_cycle(self):
         # deeper than the interpreter's default recursion limit of 1000
-        assert has_nontrivial_automorphism(named_family("cycle", 1500))
+        assert _has_nontrivial(named_family("cycle", 1500))
 
 
 class TestCompose:

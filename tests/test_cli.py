@@ -3,6 +3,7 @@ import enum
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -15,8 +16,8 @@ import homrep
 import homrep.cli
 import homrep.rep
 from helpers import matrix_mod_p, reference_random_tree, rep_groups_graphs
-from homrep import IntMatrix, basis_from_tree, parse_edge_list
-from homrep.cli import EXIT_MEMORY, main
+from homrep import basis_from_tree, parse_edge_list
+from homrep.cli import EXIT_MEMORY, EXIT_OUTPUT_CLOSED, main
 from homrep.families import FAMILY_MAX_EDGES
 from homrep.matrices import PRIME_TEST_BOUND
 
@@ -150,6 +151,28 @@ class TestRep:
         assert data["betti"] == 0 and len(data["kernel"]) == 6
         assert all(m["matrix"]["rows"] == [] for m in data["matrices"])
 
+    @pytest.mark.parametrize("argv, want", [
+        (("--family", "path", "3"),
+         "tree mode: det\ntree edges: [(0, 1), (1, 2)]\ncotree darts: []\nbetti: 0\n"
+         "group order: 2\n"
+         "automorphism [0, 1, 2] (kernel)\n(empty 0x0 matrix)\n"
+         "automorphism [2, 1, 0] (kernel)\n(empty 0x0 matrix)\n"
+         "kernel size: 2\nfaithful: False\n"),
+        (("--family", "path", "3", "--mod-p", "3"),
+         "tree mode: det\ntree edges: [(0, 1), (1, 2)]\ncotree darts: []\nbetti: 0\n"
+         "group order: 2\n"
+         "automorphism [0, 1, 2] (kernel)\n(empty 0x0 matrix)\nmod 3:\n(empty)\n"
+         "automorphism [2, 1, 0] (kernel)\n(empty 0x0 matrix)\nmod 3:\n(empty)\n"
+         "kernel size: 2\nfaithful: False\n"),
+        (("--g6", "@"),
+         "tree mode: det\ntree edges: []\ncotree darts: []\nbetti: 0\n"
+         "group order: 1\n"
+         "automorphism [0] (kernel)\n(empty 0x0 matrix)\n"
+         "kernel size: 1\nfaithful: True\n"),
+    ], ids=["path-3", "path-3-mod-3", "K1"])
+    def test_beta_zero_text(self, capsys, argv, want):
+        assert run_cli(capsys, "rep", *argv) == (0, want, "")
+
     def test_kernel_only_filters(self, capsys):
         code, out, _ = run_cli(capsys, "rep", "--family", "cycle", "5",
                                "--kernel-only", "--json")
@@ -203,16 +226,16 @@ class TestRep:
     def test_mod_p_matrices_are_matrix_mod_p(self, capsys, source, p):
         code, out, _ = run_cli(capsys, "rep", *source, "--mod-p", str(p), "--json")
         data = json.loads(out)
-        want = [matrix_mod_p(IntMatrix.from_rows(m["matrix"]["rows"]), p)
-                for m in data["matrices"]]
+        want = [matrix_mod_p(m["matrix"]["rows"], p) for m in data["matrices"]]
         assert code == 0
         assert ([m["matrix"]["rows"] for m in data["mod_p"]["matrices"]]
-                == [[list(row) for row in w.rows] for w in want])
+                == [[list(row) for row in w] for w in want])
         code, out, _ = run_cli(capsys, "rep", *source, "--mod-p", str(p))
         blocks = out.split(f"mod {p}:\n")[1:]
         assert code == 0 and len(blocks) == len(want)
         for block, w in zip(blocks, want):
-            assert block.startswith((w.render_text() or "(empty)") + "\n")
+            text = "\n".join(" ".join(str(x) for x in row) for row in w)
+            assert block.startswith((text or "(empty)") + "\n")
 
     def test_mod_p_rejects_composite(self, capsys):
         code, _, err = run_cli(capsys, "rep", "--family", "cycle", "4",
@@ -619,19 +642,48 @@ class TestJson:
             print_json_output({(1, 2): 3})
 
 
-def run_child(*argv):
+def run_child(*argv, stdout=subprocess.PIPE):
     # the child interpreter imports the package under test, also when only
     # pytest's `pythonpath` setting put it on sys.path
     src = os.path.dirname(os.path.dirname(homrep.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "homrep", *argv],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "homrep", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_module_entry_point():
     proc = run_child("classify", "--family", "complete", "4")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "faithful"
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--family", "path", "5", "--json"),
+    ("rep", "--family", "complete", "4", "--json"),
+    ("classify", "--family", "path", "3", "--json"),
+    ("verify", "--n-max", "3"),
+    ("gen", "4", "2", "[-1,0]", "[-1,0,1]"),
+], ids=["info", "rep", "classify", "verify", "gen"])
+def test_closed_stdout_exits_quietly(argv):
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails, however little it prints
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_child(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_OUTPUT_CLOSED, "")
+
+
+def test_readme_lists_every_exit_code():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split("Exit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = [int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)]
+    codes = {value for name, value in vars(homrep.cli).items() if name.startswith("EXIT_")}
+    assert documented == sorted(codes)
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):

@@ -16,7 +16,6 @@ from homrep import (
     basis_from_tree,
     betti,
     cycle_coordinates,
-    fundamental_cycle,
     named_family,
     random_spanning_tree_basis,
     spanning_tree_basis,
@@ -204,26 +203,21 @@ class TestRandomTreeStream:
 class TestFundamentalCycle:
     def test_triangle_exact_darts(self, triangle):
         b = spanning_tree_basis(triangle)
-        c = fundamental_cycle(b, 1)
+        c = b.fundamental_cycles()[0]
         assert c.darts == (Dart(1, 2), Dart(2, 0), Dart(0, 1))
 
     def test_c4_custom_path_tree(self):
         c4 = named_family("cycle", 4)
         b = basis_from_tree(c4, [(0, 1), (1, 2), (2, 3)])
         assert b.cotree == (Dart(0, 3),)
-        c = fundamental_cycle(b, 1)
+        c = b.fundamental_cycles()[0]
         assert c.darts[0] == Dart(0, 3)
         assert c.darts == (Dart(0, 3), Dart(3, 2), Dart(2, 1), Dart(1, 0))
-
-    def test_index_out_of_range(self):
-        b = spanning_tree_basis(named_family("path", 3))
-        with pytest.raises(ValueError):
-            fundamental_cycle(b, 1)
 
     def test_first_dart_is_cotree_dart(self, k4):
         b = spanning_tree_basis(k4)
         for i in range(1, b.beta + 1):
-            assert fundamental_cycle(b, i).darts[0] == b.cotree[i - 1]
+            assert b.fundamental_cycles()[i - 1].darts[0] == b.cotree[i - 1]
 
 
 class TestOrientedCycle:
@@ -247,13 +241,13 @@ class TestCycleCoordinates:
     def test_own_basis_gives_unit_vectors(self, k4):
         b = spanning_tree_basis(k4)
         for i in range(1, b.beta + 1):
-            coords = cycle_coordinates(fundamental_cycle(b, i), b)
+            coords = cycle_coordinates(b.fundamental_cycles()[i - 1], b)
             assert coords == tuple(1 if j == i - 1 else 0 for j in range(b.beta))
 
     def test_reversal_negates(self, k4):
         b = spanning_tree_basis(k4)
         for i in range(1, b.beta + 1):
-            c = fundamental_cycle(b, i)
+            c = b.fundamental_cycles()[i - 1]
             assert cycle_coordinates(reversed_cycle(c), b) == tuple(
                 -x for x in cycle_coordinates(c, b))
 
@@ -289,7 +283,7 @@ class TestCorpusInvariants:
         for g in corpus5:
             b = spanning_tree_basis(g)
             for i in range(1, b.beta + 1):
-                c = fundamental_cycle(b, i)
+                c = b.fundamental_cycles()[i - 1]
                 assert len(c) >= 3
 
 

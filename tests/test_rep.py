@@ -5,7 +5,6 @@ import pytest
 
 from homrep import (
     Automorphism,
-    IntMatrix,
     SpanningTreeBasis,
     automorphisms,
     change_of_basis,
@@ -28,7 +27,7 @@ from helpers import (
     trial_division_is_prime,
 )
 from homrep.cli import _reducer
-from homrep.matrices import PRIME_TEST_BOUND, is_prime
+from homrep.matrices import PRIME_TEST_BOUND, identity, is_prime, matmul
 from homrep.rep import _gather, _inverses, _is_kernel_perm
 from homrep.verify import DEFAULT_SEEDS
 
@@ -39,23 +38,39 @@ def _bases(g):
 
 
 class TestIntMatrix:
+    """Integer matrices as tuples of row tuples, the form `rep` gathers."""
+
     def test_identity(self):
-        m = IntMatrix.identity(3)
-        assert m.is_identity() and m.dim == 3
+        assert identity(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert identity(3) is identity(3)  # cached
 
     def test_empty_matrix_is_identity(self):
-        m = IntMatrix(())
-        assert m.dim == 0 and m.is_identity()
-        assert (m @ m).dim == 0
+        assert identity(0) == ()
+        assert matmul((), ()) == ()
 
     def test_product(self):
-        a = IntMatrix.from_rows([[1, 1], [0, 1]])
-        b = IntMatrix.from_rows([[1, 0], [1, 1]])
-        assert (a @ b).rows == ((2, 1), (1, 1))
+        assert matmul(((1, 1), (0, 1)), ((1, 0), (1, 1))) == ((2, 1), (1, 1))
+        # the coefficients 1, -1 and others take separate branches
+        assert matmul(((2, -1), (0, -3)), ((1, 4), (5, -2))) == ((-3, 10), (-15, 6))
+
+    def test_product_against_the_definition(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            dim = rng.randrange(0, 5)
+            a, b = ([[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)]
+                    for _ in range(2))
+            want = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(dim))
+                               for j in range(dim)) for i in range(dim))
+            assert matmul(tuple(map(tuple, a)), tuple(map(tuple, b))) == want
+
+    def test_product_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matmul(identity(2), identity(3))
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            IntMatrix(((1, 2), (3,)))
+        for rows in (((1, 2), (3,)), ((1, 2),), ((1,), (2,))):
+            with pytest.raises(ValueError, match="square"):
+                determinant(rows)
 
     @pytest.mark.parametrize("name", ["K5", "petersen", "star-4", "C12"])
     def test_group_gather_matches_matrix_of(self, name):
@@ -67,72 +82,54 @@ class TestIntMatrix:
         for f, m in report.matrices.items():
             assert m == matrix_of(f, b), f
 
-    def test_gathers_and_products_skip_the_square_check(self, monkeypatch):
-        checked = []
-        post_init = IntMatrix.__post_init__
-
-        def counting(self):
-            checked.append(self.dim)
-            post_init(self)
-
-        k4 = named_family("complete", 4)
-        IntMatrix.identity(3)  # cached, so the kernel test builds none below
-        monkeypatch.setattr(IntMatrix, "__post_init__", counting)
-        m = representation(k4).matrices[automorphisms(k4)[5]]
-        assert (m @ m).dim == 3
-        assert checked == []
-        with pytest.raises(ValueError):
-            IntMatrix(((1, 2), (3,)))
-
 
 class TestDeterminant:
     def test_identity_any_dim(self):
         for dim in range(5):
-            assert determinant(IntMatrix.identity(dim)) == 1
+            assert determinant(identity(dim)) == 1
 
     def test_one_by_one(self):
-        assert determinant(IntMatrix.from_rows([[-1]])) == -1
+        assert determinant(((-1,),)) == -1
 
     def test_against_laplace_oracle(self):
         rng = random.Random(7)
         for _ in range(200):
             dim = rng.randrange(1, 5)
-            rows = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)]
-            assert determinant(IntMatrix.from_rows(rows)) == laplace_determinant(rows)
+            rows = tuple(tuple(rng.randrange(-3, 4) for _ in range(dim))
+                         for _ in range(dim))
+            assert determinant(rows) == laplace_determinant(rows)
 
     def test_singular(self):
-        assert determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+        assert determinant(((1, 2), (2, 4))) == 0
 
     def test_needs_pivot_swap(self):
-        m = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert determinant(m) == -1
+        assert determinant(((0, 1), (1, 0))) == -1
 
 
 class TestInverse:
     # the helpers' adjugate inverse, the oracle of test_conjugacy_identity
     def test_round_trip(self):
-        m = IntMatrix.from_rows([[1, 2], [1, 1]])  # det -1
+        m = ((1, 2), (1, 1))  # det -1
         inv = inverse_unimodular(m)
-        assert (m @ inv).is_identity() and (inv @ m).is_identity()
+        assert matmul(m, inv) == identity(2) == matmul(inv, m)
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
-            inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+            inverse_unimodular(((2, 0), (0, 1)))
 
 
 class TestMatrixOf:
     def test_identity_gives_identity(self, k4):
         b = spanning_tree_basis(k4)
-        m = matrix_of(automorphisms(k4)[0], b)
-        assert m.is_identity() and m.dim == 3
+        assert matrix_of(automorphisms(k4)[0], b) == identity(3)
 
     def test_c4_rotation_and_reflection(self):
         c4 = named_family("cycle", 4)
         b = spanning_tree_basis(c4)
         rot = Automorphism(c4, (1, 2, 3, 0))
         refl = Automorphism(c4, (0, 3, 2, 1))
-        assert matrix_of(rot, b).rows == ((1,),)
-        assert matrix_of(refl, b).rows == ((-1,),)
+        assert matrix_of(rot, b) == ((1,),)
+        assert matrix_of(refl, b) == ((-1,),)
 
     def test_k4_transposition_golden(self, k4):
         # frozen from the signed-incidence oracle: swapping vertices 2
@@ -141,23 +138,22 @@ class TestMatrixOf:
         b = spanning_tree_basis(k4)
         swap = Automorphism(k4, (0, 1, 3, 2))
         m = matrix_of(swap, b)
-        assert m.rows == ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+        assert m == ((0, 1, 0), (1, 0, 0), (0, 0, -1))
         assert determinant(m) == 1
-        assert m.rows == tuple(signed_incidence_matrix(k4, swap.perm, b))
+        assert m == tuple(signed_incidence_matrix(k4, swap.perm, b))
 
     def test_matches_signed_incidence_oracle(self, corpus5):
         for g in corpus5:
             auts = automorphisms(g)
             for b in _bases(g):
                 for f in auts:
-                    assert (matrix_of(f, b).rows
-                            == tuple(signed_incidence_matrix(g, f.perm, b)))
+                    assert matrix_of(f, b) == tuple(signed_incidence_matrix(g, f.perm, b))
 
     def test_beta_zero_gives_empty_matrix(self):
         star = named_family("star", 3)
         b = spanning_tree_basis(star)
         for f in automorphisms(star):
-            assert matrix_of(f, b).dim == 0
+            assert matrix_of(f, b) == ()
 
     def test_homomorphism_on_k4(self, k4):
         b = spanning_tree_basis(k4)
@@ -165,13 +161,13 @@ class TestMatrixOf:
         mats = {f: matrix_of(f, b) for f in auts}
         for f in auts:
             for h in auts:
-                assert mats[compose(f, h)] == mats[f] @ mats[h]
+                assert mats[compose(f, h)] == matmul(mats[f], mats[h])
 
     def test_entries_and_determinants_on_k4(self, k4):
         b = spanning_tree_basis(k4)
         for f in automorphisms(k4):
             m = matrix_of(f, b)
-            assert all(x in (-1, 0, 1) for row in m.rows for x in row)
+            assert all(x in (-1, 0, 1) for row in m for x in row)
             assert determinant(m) in (1, -1)
 
 
@@ -208,7 +204,7 @@ class TestRepresentation:
 class TestChangeOfBasis:
     def test_same_basis_gives_identity(self, k4):
         b = spanning_tree_basis(k4)
-        assert change_of_basis(b, b).is_identity()
+        assert change_of_basis(b, b) == identity(3)
 
     def test_unimodular_on_random_tree_pairs(self, corpus5):
         # 100 seeded pairs of random spanning trees across corpus graphs
@@ -228,7 +224,7 @@ class TestChangeOfBasis:
                 p = change_of_basis(b_old, b_new)
                 p_inv = inverse_unimodular(p)
                 for f in automorphisms(g):
-                    assert matrix_of(f, b_new) == p_inv @ matrix_of(f, b_old) @ p
+                    assert matrix_of(f, b_new) == matmul(matmul(p_inv, matrix_of(f, b_old)), p)
 
     def test_equals_the_coordinates_of_the_new_cycles(self, corpus5):
         # the route through OrientedCycle and cycle_coordinates is the oracle
@@ -238,7 +234,7 @@ class TestChangeOfBasis:
                 b2 = random_spanning_tree_basis(g, seed)
                 for b_old, b_new in ((b, b2), (b2, b)):
                     cols = [cycle_coordinates(c, b_old) for c in b_new.fundamental_cycles()]
-                    assert change_of_basis(b_old, b_new).rows == tuple(zip(*cols))
+                    assert change_of_basis(b_old, b_new) == tuple(zip(*cols))
 
     def test_rejects_mixed_graphs(self, k4, triangle):
         with pytest.raises(ValueError):
@@ -255,18 +251,17 @@ def _kernel_mod(g, b, p):
 class TestModP:
     # cli._reducer is the reduction `rep --mod-p` prints
     def test_minus_one_mod_three(self):
-        assert _reducer(3)(IntMatrix.from_rows([[-1]])).rows == ((2,),)
+        assert _reducer(3)(((-1,),)) == ((2,),)
 
     def test_identity_mod_p(self):
         for p in (2, 3, 5):
-            assert _reducer(p)(IntMatrix.identity(3)).is_identity()
+            assert _reducer(p)(identity(3)) == identity(3)
 
     def test_k4_transposition_mod_two_is_parity(self, k4):
         b = spanning_tree_basis(k4)
         swap = Automorphism(k4, (0, 1, 3, 2))
         m = matrix_of(swap, b)
-        assert _reducer(2)(m).rows == tuple(
-            tuple(x % 2 for x in row) for row in m.rows)
+        assert _reducer(2)(m) == tuple(tuple(x % 2 for x in row) for row in m)
 
     def test_rejects_composite(self):
         assert [p for p in range(-3, 30) if is_prime(p)] == [
@@ -319,7 +314,7 @@ class TestModP:
             for b in _bases(g):
                 for p in (2, 3):
                     want = [f for f in auts
-                            if matrix_mod_p(matrix_of(f, b), p).is_identity()]
+                            if matrix_mod_p(matrix_of(f, b), p) == identity(b.beta)]
                     assert _kernel_mod(g, b, p) == want
 
 
