@@ -7,6 +7,9 @@ out from a stabiliser chain (`_kernels.stabiliser_chain`), whose strong
 generators the verifier's homomorphism check walks.  A cap on the group
 order, known before any element is built, guards runaway inputs like
 large stars.
+
+An element is its permutation tuple, as the chain yields it.
+`Automorphism` validates one permutation built anywhere else.
 """
 
 from __future__ import annotations
@@ -36,16 +39,6 @@ class Automorphism:
             if not g.has_edge(perm[u], perm[v]):
                 raise ValueError(
                     f"permutation does not preserve adjacency on edge ({u}, {v})")
-
-    @classmethod
-    def _searched(cls, graph: Graph, perm: tuple[int, ...]) -> "Automorphism":
-        """Wrap a permutation from the stabiliser chain without the
-        edge-by-edge check: the chain holds only adjacency-preserving
-        permutations."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "graph", graph)
-        object.__setattr__(f, "perm", perm)
-        return f
 
     def is_identity(self) -> bool:
         return all(p == v for v, p in enumerate(self.perm))
@@ -88,11 +81,10 @@ def automorphism_chain(g: Graph, cap: int = DEFAULT_CAP
     return chain
 
 
-def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[Automorphism]:
-    """The full automorphism group of a connected graph.
-
-    Multiplied out from a stabiliser chain.  Identity first, remainder
-    in lexicographic order of the permutation; the result length is the
-    group order.
+def automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """The full automorphism group of a connected graph, as the chain's
+    permutation tuples, which preserve adjacency by construction and are
+    not checked again.  Identity first, remainder in lexicographic
+    order; the result length is the group order.
     """
-    return [Automorphism._searched(g, p) for p in automorphism_chain(g, cap)[1]]
+    return automorphism_chain(g, cap)[1]

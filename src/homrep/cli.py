@@ -299,7 +299,7 @@ def cmd_rep(args) -> int:
     b = _basis(args, g)
     report = representation(g, b, cap=args.cap)
     if args.kernel_only:
-        shown = [(f, report.matrices[f]) for f in report.kernel]
+        shown = [(p, report.matrices[p]) for p in report.kernel]
     else:
         shown = report.matrices.items()
     mod_p = _reducer(args.mod_p) if args.mod_p is not None else None
@@ -316,16 +316,16 @@ def cmd_rep(args) -> int:
             },
             "betti": b.beta,
             "group_order": report.group_order,
-            "matrices": [{"perm": f.perm, "matrix": {"dim": len(m), "rows": m}}
-                         for f, m in shown],
-            "kernel": [list(f.perm) for f in report.kernel],
+            "matrices": [{"perm": p, "matrix": {"dim": len(m), "rows": m}}
+                         for p, m in shown],
+            "kernel": report.kernel,
             "faithful": report.faithful,
         }
         if mod_p is not None:
             out["mod_p"] = {
                 "p": args.mod_p,
-                "matrices": [{"perm": f.perm, "matrix": {"dim": len(m), "rows": mod_p(m)}}
-                             for f, m in shown],
+                "matrices": [{"perm": p, "matrix": {"dim": len(m), "rows": mod_p(m)}}
+                             for p, m in shown],
             }
         _print_json(out)
         return EXIT_OK
@@ -336,9 +336,9 @@ def cmd_rep(args) -> int:
     print(f"betti: {b.beta}")
     print(f"group order: {report.group_order}")
     kernel_set = set(report.kernel)
-    for f, m in shown:
-        tag = " (kernel)" if f in kernel_set else ""
-        print(f"automorphism {list(f.perm)}{tag}")
+    for p, m in shown:
+        tag = " (kernel)" if p in kernel_set else ""
+        print(f"automorphism {list(p)}{tag}")
         print(_matrix_text(m) if m else "(empty 0x0 matrix)")
         if mod_p is not None:
             print(f"mod {args.mod_p}:")
@@ -427,9 +427,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help on a closed stdout raises, where argparse drops the error."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        print(message, end="", file=file, flush=True)  # a buffered stdout raises too
+
+
 @functools.cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homrep",
         description="Matrix action of graph automorphisms on the cycle space")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -478,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit
         return code

@@ -28,10 +28,9 @@ class Dart(NamedTuple):
 class Graph:
     """Immutable simple graph: no loops, no parallel edges."""
 
-    # _hash: computed once, as Automorphism keys hash their graph on every
-    # dict operation; _structure: the structure homrep.blocks builds on
-    # first use and keeps here; _connected: is_connected's answer, once asked
-    __slots__ = ("n", "edges", "_edge_set", "_adj", "_hash", "_structure", "_connected")
+    # _structure: the structure homrep.blocks builds on first use and
+    # keeps here; _connected: is_connected's answer, once asked
+    __slots__ = ("n", "edges", "_edge_set", "_adj", "_structure", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -51,7 +50,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._hash = hash((n, self.edges))
         self._structure = None
         self._connected = None
 
@@ -84,7 +82,7 @@ class Graph:
                 and self.n == other.n and self.edges == other.edges)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"

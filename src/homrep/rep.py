@@ -14,11 +14,12 @@ f^-1(x_i) by C_j, so row i of the matrix of f is Z[f^-1(x_i)].  The
 gather takes the inverses, so a caller that gathers one group in
 several bases inverts each element once.
 
-A matrix is the tuple of rows the gather builds (`matrices.Matrix`);
-`matrix_of`, `representation` and `change_of_basis` return those rows
-as they are.  Every matrix has entries in {-1, 0, 1} and determinant
-+/-1; the kernel is the set of automorphisms mapped to the identity
-matrix, the mod p kernel those mapped to the identity mod p;
+An automorphism is its permutation tuple, and a matrix the tuple of
+rows the gather builds (`matrices.Matrix`), returned unwrapped by
+`matrix_of`, `representation` (keyed by permutation) and
+`change_of_basis`.  Every matrix has entries in {-1, 0, 1} and
+determinant +/-1; the kernel is the set of automorphisms mapped to the
+identity matrix, the mod p kernel those mapped to the identity mod p;
 `_is_kernel_perm` tests both.
 """
 
@@ -59,21 +60,20 @@ def _is_kernel_perm(rows: Matrix, p: int | None = None) -> bool:
         (x - w) % p == 0 for row, unit_row in zip(rows, unit) for x, w in zip(row, unit_row))
 
 
-def matrix_of(f: Automorphism, b: SpanningTreeBasis) -> Matrix:
-    """Rows of the matrix of f in basis b; () when beta = 0."""
-    g = f.graph
-    if g != b.graph:
-        raise ValueError("automorphism and basis belong to different graphs")
-    return _gather(_inverses([f.perm], g.n), b)[0]
+def matrix_of(perm, b: SpanningTreeBasis) -> Matrix:
+    """Rows of the matrix in basis b of perm, a permutation of b.graph's
+    vertices checked as its automorphism; () when beta = 0."""
+    f = Automorphism(b.graph, tuple(perm))
+    return _gather(_inverses([f.perm], b.graph.n), b)[0]
 
 
 @dataclass
 class RepresentationReport:
-    """Full group scan: one matrix (its rows) per automorphism, plus the kernel."""
+    """Full group scan: one matrix (its rows) per permutation, plus the kernel."""
 
     basis: SpanningTreeBasis
-    matrices: dict[Automorphism, Matrix]
-    kernel: tuple[Automorphism, ...]
+    matrices: dict[tuple[int, ...], Matrix]
+    kernel: tuple[tuple[int, ...], ...]
     faithful: bool
 
     @property
@@ -93,7 +93,7 @@ def representation(g: Graph, b: SpanningTreeBasis | None = None,
     elif b.graph != g:
         raise ValueError("basis belongs to a different graph")
     group = automorphisms(g, cap)
-    gathered = _gather(_inverses((f.perm for f in group), g.n), b)
+    gathered = _gather(_inverses(group, g.n), b)
     kernel = [f for f, rows in zip(group, gathered) if _is_kernel_perm(rows)]
     return RepresentationReport(basis=b, matrices=dict(zip(group, gathered)),
                                 kernel=tuple(kernel), faithful=len(kernel) == 1)

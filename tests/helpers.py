@@ -12,7 +12,7 @@ import random
 from itertools import permutations
 from math import isqrt
 
-from homrep import Automorphism, Graph, OrientedCycle
+from homrep import Graph, OrientedCycle
 
 
 def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -89,11 +89,12 @@ def inverse_unimodular(rows) -> tuple[tuple[int, ...], ...]:
             for j in range(n)) for i in range(n))
 
 
-def compose(f: Automorphism, g: Automorphism) -> Automorphism:
-    """The product f after g, (fg)(v) = f(g(v)), checked as an automorphism."""
-    if f.graph != g.graph:
-        raise ValueError("cannot compose automorphisms of different graphs")
-    return Automorphism(f.graph, tuple(f.perm[x] for x in g.perm))
+def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The product f after g, (fg)(v) = f(g(v)), of two permutations of
+    the same vertices."""
+    if len(f) != len(g):
+        raise ValueError("cannot compose permutations of different sizes")
+    return tuple(f[x] for x in g)
 
 
 def trial_division_is_prime(p: int) -> bool:

@@ -220,7 +220,7 @@ def test_criterion_6_decorated_cycle_family():
         except CapacityError:
             continue  # group order over the cap: redraw
         assert rho.order() == n // k
-        assert rho in rep.kernel and not rho.is_identity()
+        assert rho.perm in rep.kernel and not rho.is_identity()
         assert not classify(g).faithful
         checked += 1
     report("criterion 6: 50 random decorated cycles carry their rotation "

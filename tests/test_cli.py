@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import enum
 import io
@@ -664,7 +665,9 @@ def test_module_entry_point():
     ("classify", "--family", "path", "3", "--json"),
     ("verify", "--n-max", "3"),
     ("gen", "4", "2", "[-1,0]", "[-1,0,1]"),
-], ids=["info", "rep", "classify", "verify", "gen"])
+    ("--help",),
+    ("rep", "--help"),
+], ids=["info", "rep", "classify", "verify", "gen", "help", "rep-help"])
 def test_closed_stdout_exits_quietly(argv):
     # the read end is closed before the child starts, so its first write
     # to stdout fails, however little it prints
@@ -677,13 +680,30 @@ def test_closed_stdout_exits_quietly(argv):
     assert (proc.returncode, proc.stderr) == (EXIT_OUTPUT_CLOSED, "")
 
 
-def test_readme_lists_every_exit_code():
+def _readme() -> str:
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        table = fh.read().split("Exit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+        return fh.read()
+
+
+def test_readme_lists_every_exit_code():
+    table = _readme().split("Exit codes:\n\n", 1)[1].split("\n\n", 1)[0]
     documented = [int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)]
     codes = {value for name, value in vars(homrep.cli).items() if name.startswith("EXIT_")}
     assert documented == sorted(codes)
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # the first python block under "## Library", with the values its
+    # comments state
+    section = _readme().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    m_comment = re.search(r"^m = .*# (.*)$", code, re.M).group(1)
+    assert namespace["m"] == ast.literal_eval(m_comment)
+    printed = re.search(r"^# (Verdict\(.*\))$", code, re.M).group(1)
+    assert capsys.readouterr().out == printed + "\n"
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):

@@ -55,7 +55,7 @@ class TestBuildPeriodicUnicyclic:
         g, rho = build_periodic_unicyclic(
             6, 3, [RootedTreeSpec((-1, 0)), RootedTreeSpec((-1,)),
                    RootedTreeSpec((-1, 0, 0))])
-        assert matrix_of(rho, spanning_tree_basis(g)) == ((1,),)  # beta = 1
+        assert matrix_of(rho.perm, spanning_tree_basis(g)) == ((1,),)  # beta = 1
         assert not classify(g).faithful
 
     def test_constructed_graph_is_unicyclic(self):
