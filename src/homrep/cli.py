@@ -83,9 +83,9 @@ def _load_graph(args) -> Graph:
 # CPython's C encoder serves only indent=None, and json.dump(indent=2)
 # spends most of a `rep --json` run formatting integers in Python.  The
 # recursive writer below writes the same bytes: a list of plain ints, or
-# of int rows (a matrix), is joined in one call, and every other container
-# is streamed.  Only tuple rows are memoised, as a report's matrices share
-# them; list rows are built per element, so their texts are not kept.
+# of int rows (a matrix), is joined in one call, `rep`'s matrix entries
+# (an _Entries) are written from one template per entry, and every other
+# container is streamed.
 _scalar = json.JSONEncoder().encode
 _string = json.encoder.encode_basestring_ascii
 _INDENT = "  "
@@ -99,13 +99,21 @@ _INTS = frozenset({int})
 _ROWS = frozenset({list, tuple})
 
 
-def _flat(o, nl: str, memo: dict) -> str | None:
+class _Entries(list):
+    """`rep`'s matrix entries, each {"perm": p, "matrix": {"dim": d,
+    "rows": m}} with exactly these keys in this order.
+
+    _print_json writes each entry from one template, which holds only
+    while every perm is non-empty and, like every row of m, holds plain
+    ints only, as the gather and _reducer build them.  Rows are rendered
+    once per list, keyed by id: the entries share them, and the list
+    keeps them alive while it is written."""
+
+
+def _flat(o, nl: str) -> str | None:
     """Text of o, a list or tuple whose line starts at nl, when it is
     empty, holds only plain ints, or holds only lists and tuples that are
-    flat in turn (a matrix); None otherwise.  memo maps an indent to a
-    table id(row) -> (row, its text or None) of the tuple rows met so far
-    at that indent: the entry holds the row, so that its id is not reused
-    while the writer runs."""
+    flat in turn (a matrix); None otherwise."""
     if not o:
         return "[]"
     inner = nl + _INDENT
@@ -113,19 +121,9 @@ def _flat(o, nl: str, memo: dict) -> str | None:
     if types == _INTS:
         texts = map(str, o)
     elif types <= _ROWS:
-        rows = memo.get(inner)
-        if rows is None:
-            rows = memo[inner] = {}
-        texts = []
-        for row in o:
-            hit = rows.get(id(row))
-            if hit is None:
-                hit = row, _flat(row, inner, memo)
-                if type(row) is tuple:
-                    rows[id(row)] = hit
-            if hit[1] is None:
-                return None
-            texts.append(hit[1])
+        texts = [_flat(row, inner) for row in o]
+        if None in texts:
+            return None
     else:
         return None
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
@@ -145,16 +143,15 @@ def _print_json(obj) -> None:
     """Exactly json.dump(obj, sys.stdout, indent=2) and a newline.
 
     The pieces are appended to one chunk, and its size is checked once
-    per streamed element: a dict entry, or an element of a list that is
-    not flat.  The chunk reaches stdout when it holds about _CHUNK
-    characters, so no report is held whole and a file is not written
-    once per piece."""
+    per streamed element: a dict entry, an element of a list that is not
+    flat, or an entry of an _Entries.  The chunk reaches stdout when it
+    holds about _CHUNK characters, so no report is held whole and a file
+    is not written once per piece."""
     out = sys.stdout
     chunk: list[str] = []
     put = chunk.append
     size = 0
     keys: dict[str, str] = {}  # each str key's text, encoded once per call
-    memo: dict[str, dict] = {}
 
     def flush() -> None:
         nonlocal size
@@ -176,7 +173,7 @@ def _print_json(obj) -> None:
                         keys[k] = key
                 t = type(v)  # an int or a flat list is written with its key
                 text = (str(v) if t is int else
-                        _flat(v, inner, memo) if t is list or t is tuple else None)
+                        _flat(v, inner) if t is list or t is tuple else None)
                 if text is None:
                     piece = sep + key
                     put(piece)
@@ -191,8 +188,46 @@ def _print_json(obj) -> None:
                     flush()
                 sep = comma
             piece = nl + "}" if o else "{}"
+        elif type(o) is _Entries and o:
+            # the lines of an entry, of its keys, of a perm's entries and
+            # the matrix's keys, of the rows, and of a row's entries
+            i1 = inner
+            i2 = i1 + _INDENT
+            i3 = i2 + _INDENT
+            i4 = i3 + _INDENT
+            i5 = i4 + _INDENT
+            c1, c3, c4, c5 = "," + i1, "," + i3, "," + i4, "," + i5
+            head = "{" + i2 + '"perm": [' + i3
+            mid = i2 + '],' + i2 + '"matrix": {' + i3 + '"dim": '
+            rows_key = "," + i3 + '"rows": '
+            tail = i2 + "}" + i1 + "}"
+            known: dict[int, str] = {}  # id(row) -> its text
+            sep = "[" + i1
+            for e in o:
+                matrix = e["matrix"]
+                m = matrix["rows"]
+                if m:
+                    texts = list(map(known.get, map(id, m)))
+                    if None in texts:
+                        for j, text in enumerate(texts):
+                            if text is None:
+                                row = m[j]
+                                texts[j] = known[id(row)] = (
+                                    "[" + i5 + c5.join(map(str, row)) + i4 + "]")
+                    rows = "[" + i4 + c4.join(texts) + i3 + "]"
+                else:
+                    rows = "[]"
+                piece = (sep + head + c3.join(map(str, e["perm"])) + mid
+                         + str(matrix["dim"]) + rows_key + rows + tail)
+                put(piece)
+                size += len(piece)
+                if size >= _CHUNK:
+                    piece = None  # so that the flush frees the entry's text
+                    flush()
+                sep = c1
+            piece = nl + "]"
         elif isinstance(o, (list, tuple)):
-            piece = _flat(o, nl, memo)
+            piece = _flat(o, nl)
             if piece is None:
                 sep, comma = "[" + inner, "," + inner
                 for x in o:
@@ -316,16 +351,16 @@ def cmd_rep(args) -> int:
             },
             "betti": b.beta,
             "group_order": report.group_order,
-            "matrices": [{"perm": p, "matrix": {"dim": len(m), "rows": m}}
-                         for p, m in shown],
+            "matrices": _Entries({"perm": p, "matrix": {"dim": len(m), "rows": m}}
+                                 for p, m in shown),
             "kernel": report.kernel,
             "faithful": report.faithful,
         }
         if mod_p is not None:
             out["mod_p"] = {
                 "p": args.mod_p,
-                "matrices": [{"perm": p, "matrix": {"dim": len(m), "rows": mod_p(m)}}
-                             for p, m in shown],
+                "matrices": _Entries({"perm": p, "matrix": {"dim": len(m), "rows": mod_p(m)}}
+                                     for p, m in shown),
             }
         _print_json(out)
         return EXIT_OK

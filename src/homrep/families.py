@@ -45,6 +45,12 @@ class RootedTreeSpec:
         return cls(parents)
 
 
+# the most edges a named family or a decorated cycle may have, a hundred
+# times the 10^5 edges of the largest graphs classify is timed on;
+# complete 30000 would have about 4.5e8 and exhaust memory
+FAMILY_MAX_EDGES = 10 ** 7
+
+
 def build_periodic_unicyclic(n: int, k: int,
                              specs: list[RootedTreeSpec]) -> tuple[Graph, Automorphism]:
     """Attach a k-periodic sequence of rooted trees around an n-cycle.
@@ -53,7 +59,9 @@ def build_periodic_unicyclic(n: int, k: int,
     vertices are labeled 0..n-1; tree copies follow in cycle order, each
     copy in spec order, with the copy's root identified with its cycle
     vertex.  Returns the graph together with the rotation by k, which is
-    verified to be an automorphism of order n / k.
+    verified to be an automorphism of order n / k.  A graph with more
+    than FAMILY_MAX_EDGES edges is refused, with a ValueError, before
+    any of it is built.
     """
     if n <= 2:
         raise ValueError(f"cycle length must exceed 2, got {n}")
@@ -63,37 +71,35 @@ def build_periodic_unicyclic(n: int, k: int,
         raise ValueError(f"period {k} does not divide cycle length {n}")
     if len(specs) != k:
         raise ValueError(f"expected {k} tree specs, got {len(specs)}")
+    # the non-root vertices of one period's copies, and where each copy's
+    # labels start within a period
+    starts = [0]
+    for spec in specs:
+        starts.append(starts[-1] + spec.size - 1)
+    per_period = starts.pop()
+    m = n + n // k * per_period  # a unicyclic graph has as many edges as vertices
+    if m > FAMILY_MAX_EDGES:
+        raise ValueError(f"a {n}-cycle with period {k} and these trees would have {m} "
+                         f"edges; decorated cycles are limited to {FAMILY_MAX_EDGES}")
 
-    edges = [(j, (j + 1) % n) for j in range(n)]
-    # label[j][t] = graph label of spec vertex t in the copy at cycle vertex j
-    label: list[list[int]] = []
-    next_label = n
-    for j in range(n):
-        spec = specs[j % k]
-        mine = [j]
-        for t in range(1, spec.size):
-            mine.append(next_label)
-            next_label += 1
-        label.append(mine)
-        for t in range(1, spec.size):
-            edges.append((mine[spec.parents[t]], mine[t]))
+    def edges():
+        for j in range(n):
+            yield j, (j + 1) % n
+        for j in range(n):
+            parents = specs[j % k].parents
+            base = n + j // k * per_period + starts[j % k] - 1  # copy vertex t >= 1 is base + t
+            for t in range(1, len(parents)):
+                p = parents[t]
+                yield (j if p == 0 else base + p), base + t
 
-    g = Graph(next_label, edges)
-    perm = list(range(next_label))
-    for j in range(n):
-        target = (j + k) % n
-        for t in range(specs[j % k].size):
-            perm[label[j][t]] = label[target][t]
-    rho = Automorphism(g, tuple(perm))
+    g = Graph(m, edges())
+    # the rotation moves each copy one period on, and the last period's
+    # copies to the first
+    perm = (*range(k, n), *range(k), *range(n + per_period, m), *range(n, n + per_period))
+    rho = Automorphism(g, perm)
     if rho.order() != n // k:
         raise RuntimeError(f"rotation has order {rho.order()}, expected {n // k}")
     return g, rho
-
-
-# the most edges a named family may have, a hundred times the 10^5 edges
-# of the largest graphs classify is timed on; complete 30000 would have
-# about 4.5e8 and exhaust memory
-FAMILY_MAX_EDGES = 10 ** 7
 
 
 def named_family(name: str, size: int) -> Graph:

@@ -516,6 +516,17 @@ class TestGen:
         assert code == 0
         assert data["order"] == 6 and data["rho"] == [1, 2, 3, 4, 5, 0]
 
+    def test_oversized_exit_2_without_a_graph(self, capsys, monkeypatch):
+        def no_graph(n, edges):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(homrep.families, "Graph", no_graph)
+        code, out, err = run_cli(capsys, "gen", "1000000000", "2", "[-1]", "[-1]")
+        assert code == 2 and out == ""
+        assert err == ("error: a 1000000000-cycle with period 2 and these trees would "
+                       "have 1000000000 edges; decorated cycles are limited to "
+                       f"{FAMILY_MAX_EDGES}\n")
+
 
 # keys json accepts, and every kind of value the emitter must render
 # exactly as json.dumps(indent=2) does: bools and ints are kept apart,
@@ -547,7 +558,14 @@ class Colour(enum.IntEnum):
 
 
 SHARED_LIST_ROW = [1, 2]
+SHARED_ROWS_K2 = ((1, 0), (0, 1))
 REP_GROUPS = rep_groups_graphs()
+Entries = homrep.cli._Entries
+
+
+def entry(perm, rows):
+    """One of `rep`'s matrix entries, as cmd_rep builds it."""
+    return {"perm": perm, "matrix": {"dim": len(rows), "rows": rows}}
 
 
 def print_json_output(obj) -> str:
@@ -619,20 +637,46 @@ class TestJson:
     def test_emitter_edge_cases(self, obj):
         assert print_json_output(obj) == json.dumps(obj, indent=2) + "\n"
 
-    def test_emitter_memoises_only_tuple_rows(self):
-        shared, fresh, last = (1, 2), [1, 2], (4,)
-        memo = {}
-        for o in ([shared, fresh, shared], [[3], last]):
-            homrep.cli._flat(o, "\n  ", memo)
-        # one table for the rows' indent, keyed by each tuple row's id
-        assert list(memo) == ["\n    "]
-        assert {key: row for key, (row, _) in memo["\n    "].items()} == {
-            id(shared): shared, id(last): last}
-
     def test_large_output_is_written_in_bounded_chunks(self, monkeypatch):
         writes = []
         monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
         obj = [{"a": i, "b": [i, i + 1]} for i in range(20000)]
+        homrep.cli._print_json(obj)
+        assert "".join(writes) == json.dumps(obj, indent=2) + "\n"
+        assert len(writes) > 1
+        assert max(map(len, writes)) < 2 * homrep.cli._CHUNK
+
+    @pytest.mark.parametrize("obj", [
+        Entries([entry((0, 1), ((1, 0), (0, 1))), entry((1, 0), ((0, 1), (1, 0)))]),
+        {"a": {"b": Entries([entry((2, 0, 1), ((-1, 1),))]), "c": 1}},
+        Entries(), {"matrices": Entries(), "kernel": []},
+        Entries([entry((0,), ())]),  # a one-vertex graph: beta = 0, "rows": []
+        Entries([entry((1, 0, 2), ())] * 2),
+        Entries([entry((0, 1), SHARED_ROWS_K2), entry((1, 0), SHARED_ROWS_K2[::-1]),
+                 entry((0, 1), (tuple([1, 0]), tuple([0, 1])))]),  # equal, distinct rows
+        # one row in two lists at two indents, as in `rep --mod-p`
+        {"matrices": Entries([entry((0, 1), SHARED_ROWS_K2)]),
+         "mod_p": {"p": 2, "matrices": Entries([entry((0, 1), SHARED_ROWS_K2)])}},
+    ], ids=["top-level", "two-dicts-deep", "empty", "empty-nested", "one-vertex",
+            "beta-0-twice", "shared-and-equal-rows", "two-indents"])
+    def test_entries_template_matches_stdlib(self, obj):
+        assert print_json_output(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_entries_template_on_rows_shared_through_the_reducer(self):
+        matrices = [((1, -1), (0, 1)), ((0, 1), (1, -1)), ((1, -1), (-1, 0))]
+        reduce = homrep.cli._reducer(3)
+        entries = Entries(entry((i,), reduce(m)) for i, m in enumerate(matrices))
+        # (1, -1) became one reduced row object, shared by all three entries
+        assert len({id(e["matrix"]["rows"][r]) for e in entries for r in (0, 1)
+                    if e["matrix"]["rows"][r] == (1, 2)}) == 1
+        assert print_json_output(entries) == json.dumps(entries, indent=2) + "\n"
+
+    def test_entries_are_written_in_bounded_chunks(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        rows = tuple(tuple(range(i, i + 6)) for i in range(6))
+        obj = {"matrices": Entries(entry(tuple(range(i % 7, i % 7 + 10)), rows)
+                                   for i in range(3000))}
         homrep.cli._print_json(obj)
         assert "".join(writes) == json.dumps(obj, indent=2) + "\n"
         assert len(writes) > 1

@@ -143,3 +143,34 @@ class TestFamilySizeGuard:
     def test_largest_allowed_size_reaches_graph(self, built, name, size, n):
         named_family(name, size)
         assert built == [n]
+
+
+class TestDecoratedCycleSizeGuard:
+    """Decorated cycles at and past FAMILY_MAX_EDGES, with Graph replaced
+    so that no large graph is built: n + (n/k)(sum of tree sizes - 1)
+    edges, one per vertex."""
+
+    class Built(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_graph(self, monkeypatch):
+        def refuse(n, edges):
+            raise self.Built(n)
+
+        monkeypatch.setattr(homrep.families, "Graph", refuse)
+
+    @pytest.mark.parametrize("n,k,sizes", [
+        (FAMILY_MAX_EDGES, 1, [1]), (10 ** 6, 1, [10]), (10 ** 6, 2, [1, 19])])
+    def test_largest_allowed_size_reaches_graph(self, n, k, sizes):
+        specs = [RootedTreeSpec((-1,) + (0,) * (size - 1)) for size in sizes]
+        with pytest.raises(self.Built) as built:
+            build_periodic_unicyclic(n, k, specs)
+        assert built.value.args == (FAMILY_MAX_EDGES,)
+
+    @pytest.mark.parametrize("n,k,sizes", [
+        (FAMILY_MAX_EDGES + 1, 1, [1]), (10 ** 6, 1, [11]), (10 ** 9, 2, [1, 1])])
+    def test_refused_before_anything_is_built(self, n, k, sizes):
+        specs = [RootedTreeSpec((-1,) + (0,) * (size - 1)) for size in sizes]
+        with pytest.raises(ValueError, match=f"limited to {FAMILY_MAX_EDGES}"):
+            build_periodic_unicyclic(n, k, specs)
